@@ -53,7 +53,7 @@
 
 use crate::coverage::{coverage_curve, final_coverage, DetectionSpec};
 use crate::fault::Fault;
-use crate::inject::{inject, HardFaultModel};
+use crate::inject::{inject, HardFaultModel, InjectError};
 use cat_telemetry::{HistogramSnapshot, StaticCounter};
 use diagnose::{FaultSignature, SignatureSpec};
 use spice::batch::{run_group, BatchGroup, LaneJob};
@@ -522,10 +522,9 @@ impl Campaign {
 
     /// Opens a session over `faults`, applying the fault budget.
     pub fn session<'c>(&'c self, faults: &'c [Fault]) -> CampaignSession<'c> {
-        let n = self.max_faults.unwrap_or(faults.len()).min(faults.len());
         CampaignSession {
             campaign: self,
-            faults: &faults[..n],
+            faults: apply_budget(self.max_faults, faults),
         }
     }
 
@@ -540,35 +539,32 @@ impl Campaign {
         self.session(faults).run()
     }
 
-    /// Runs the nominal simulation and resolves every observed node's
-    /// waveform — the shared front half of every session entry point.
-    fn nominal_pass(&self, cache: &PatternCache) -> Result<(Vec<Wave>, f64), SpiceError> {
-        let t0 = Instant::now();
-        let nominal_res = tran_with_cached(&self.circuit, &self.tran, Some(cache), |_, _| true)?;
-        let nominal_seconds = t0.elapsed().as_secs_f64();
-        let mut nominals = Vec::with_capacity(self.observe.len());
-        for name in &self.observe {
-            let wave = nominal_res.wave(name).ok_or_else(|| {
-                SpiceError::Elaboration(format!("observed node `{name}` not found"))
-            })?;
-            nominals.push(wave);
-        }
-        Ok((nominals, nominal_seconds))
-    }
-
-    /// Runs the nominal simulation once and freezes the campaign into a
-    /// [`PreparedCampaign`]: a `Send + Sync` handle that can simulate
-    /// individual faults on any thread and assemble a
-    /// [`CampaignResult`] at the end. This is the building block for
-    /// external schedulers (the `anafault-serve` daemon shards a
-    /// prepared campaign's fault list across its own worker pool).
+    /// Runs the nominal simulation once and freezes the campaign into
+    /// the [`PreparedCampaign`] engine that every session runs on — and
+    /// that external schedulers such as the `anafault-serve` daemon
+    /// drive one fault at a time.
     ///
     /// # Errors
     /// Fails when the nominal simulation fails or an observed node does
     /// not exist — the same contract as [`Campaign::run`].
     pub fn prepare(self) -> Result<PreparedCampaign, SpiceError> {
+        // One pattern cache per campaign: the symbolic factorisation of
+        // the nominal topology is shared by every structure-preserving
+        // fault, and each hard-fault stamp shape is analysed exactly
+        // once no matter how many workers touch it.
         let cache = PatternCache::new();
-        let (nominals, nominal_seconds) = self.nominal_pass(&cache)?;
+        let t0 = Instant::now();
+        let nominal = tran_with_cached(&self.circuit, &self.tran, Some(&cache), |_, _| true)?;
+        let nominal_seconds = t0.elapsed().as_secs_f64();
+        let nominals = self
+            .observe
+            .iter()
+            .map(|name| {
+                nominal.wave(name).ok_or_else(|| {
+                    SpiceError::Elaboration(format!("observed node `{name}` not found"))
+                })
+            })
+            .collect::<Result<Vec<Wave>, SpiceError>>()?;
         Ok(PreparedCampaign {
             campaign: self,
             cache,
@@ -577,41 +573,81 @@ impl Campaign {
         })
     }
 
-    fn simulate_one(&self, fault: &Fault, nominals: &[Wave], cache: &PatternCache) -> FaultRecord {
-        let _span = cat_telemetry::span!("anafault.fault");
-        let t0 = Instant::now();
-        let faulty = match inject(&self.circuit, fault, self.model) {
-            Ok(c) => c,
-            Err(e) => {
-                let wall = t0.elapsed();
-                return FaultRecord {
-                    fault: fault.clone(),
-                    outcome: FaultOutcome::InjectionFailed(e.to_string()),
-                    sim_seconds: wall.as_secs_f64(),
-                    newton_iterations: 0,
-                    telemetry: FaultTelemetry {
-                        wall,
-                        ..FaultTelemetry::default()
-                    },
-                    signature: None,
-                };
-            }
-        };
-        // Signature recording needs the complete faulty waveform, so it
-        // overrides fault dropping for the session.
-        let (outcome, mut telemetry, signature) = if self.record_signatures {
-            self.simulate_full(&faulty, nominals, cache, true)
+    /// How the scalar path simulates each fault. Signature recording
+    /// needs the complete faulty waveform, so it overrides fault
+    /// dropping.
+    fn scalar_mode(&self) -> SimMode {
+        if self.record_signatures {
+            SimMode::Signature
         } else if self.early_stop {
-            let (outcome, telemetry) = self.simulate_dropping(&faulty, nominals, cache);
-            (outcome, telemetry, None)
+            SimMode::Dropping
         } else {
-            self.simulate_full(&faulty, nominals, cache, false)
-        };
-        telemetry.wall = t0.elapsed();
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(e) => FaultOutcome::SimulationFailed(e.to_string()),
-        };
+            SimMode::FullLength
+        }
+    }
+}
+
+/// Worker threads for a requested count, where 0 means one per
+/// available core. Session pools and the daemon's simulation workers
+/// both resolve their size here.
+pub fn worker_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    }
+}
+
+/// The fault budget: at most `max_faults` faults from the head of the
+/// list (which arrives ranked by probability, so the cut keeps the most
+/// likely defects); `None` keeps them all.
+pub fn apply_budget(max_faults: Option<usize>, faults: &[Fault]) -> &[Fault] {
+    &faults[..max_faults.unwrap_or(faults.len()).min(faults.len())]
+}
+
+/// Matches checkpointed records to a fault list by [`Fault::id`]: the
+/// first record per id wins (so a checkpoint with a torn duplicate tail
+/// replays cleanly) and records whose id is not in `faults` are
+/// ignored. Returns `(index into faults, record)` pairs in input order.
+pub fn match_checkpoint<'r>(
+    faults: &[Fault],
+    checkpoint: &'r [FaultRecord],
+) -> Vec<(usize, &'r FaultRecord)> {
+    let mut first: BTreeMap<usize, &FaultRecord> = BTreeMap::new();
+    for record in checkpoint {
+        first.entry(record.fault.id).or_insert(record);
+    }
+    faults
+        .iter()
+        .enumerate()
+        .filter_map(|(i, fault)| first.get(&fault.id).map(|&record| (i, record)))
+        .collect()
+}
+
+/// How the scalar path simulates one injected fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SimMode {
+    /// Fault dropping: abandon the transient at the first deviating
+    /// sample.
+    Dropping,
+    /// Simulate the whole window, then compare per node.
+    FullLength,
+    /// Full length, plus the diagnosis signature.
+    Signature,
+}
+
+/// A simulated fault before its wall clock is stamped.
+type Simulated = (FaultOutcome, FaultTelemetry, Option<FaultSignature>);
+
+impl FaultRecord {
+    /// A record whose `sim_seconds` and `newton_iterations` mirror
+    /// `telemetry`.
+    fn new(
+        fault: &Fault,
+        outcome: FaultOutcome,
+        telemetry: FaultTelemetry,
+        signature: Option<FaultSignature>,
+    ) -> Self {
         FaultRecord {
             fault: fault.clone(),
             outcome,
@@ -621,148 +657,16 @@ impl Campaign {
             signature,
         }
     }
+}
 
-    /// Full-length simulation, then per-node detection; any-detect =
-    /// earliest detection across observed nodes (ties keep
-    /// configuration order).
-    fn simulate_full(
-        &self,
-        faulty: &Circuit,
-        nominals: &[Wave],
-        cache: &PatternCache,
-        want_signature: bool,
-    ) -> (
-        Result<FaultOutcome, SpiceError>,
-        FaultTelemetry,
-        Option<FaultSignature>,
-    ) {
-        let res = match tran_with_cached(faulty, &self.tran, Some(cache), |_, _| true) {
-            Ok(res) => res,
-            Err(e) => return (Err(e), FaultTelemetry::default(), None),
-        };
-        let telemetry = FaultTelemetry::from_tran(&res.stats);
-        let mut waves = Vec::with_capacity(self.observe.len());
-        for name in &self.observe {
-            let Some(wave) = res.wave(name) else {
-                return (Ok(missing_observed(name)), telemetry, None);
-            };
-            waves.push(wave);
-        }
-        let mut first: Option<(f64, usize)> = None;
-        for (k, (wave, nominal)) in waves.iter().zip(nominals).enumerate() {
-            if let Some(at) = self.detection.first_detection(wave, nominal) {
-                if first.is_none_or(|(best, _)| at < best) {
-                    first = Some((at, k));
-                }
-            }
-        }
-        let outcome = match first {
-            Some((at, k)) => FaultOutcome::Detected {
-                at,
-                node: self.observe[k].clone(),
-            },
-            None => FaultOutcome::NotDetected,
-        };
-        let signature = want_signature.then(|| self.extract_signature(nominals, &waves));
-        (Ok(outcome), telemetry, signature)
-    }
-
-    /// Extracts one node signature per observed node from the faulty
-    /// waveforms, on the grid spanned by the primary nominal transient.
-    fn extract_signature(&self, nominals: &[Wave], waves: &[Wave]) -> FaultSignature {
-        let spec = self.signature_spec();
-        let t0 = nominals[0].times()[0];
-        let t1 = *nominals[0].times().last().expect("nominal is non-empty");
-        let grid = diagnose::grid(t0, t1, spec.points);
-        FaultSignature {
-            nodes: nominals
-                .iter()
-                .zip(waves)
-                .map(|(nominal, faulty)| {
-                    diagnose::extract_signature(nominal, faulty, &grid, spec.onset_eps)
-                })
-                .collect(),
-        }
-    }
-
-    /// Streaming simulation with fault dropping: evaluates the same
-    /// per-sample predicate as [`Wave::first_detection`] while the
-    /// kernel integrates, and abandons the remaining simulation time at
-    /// the first deviating sample. Outcomes are bit-identical to
-    /// [`Campaign::simulate_full`] whenever the full run converges; a
-    /// deviation followed by a convergence failure is `Detected` here
-    /// (the failing step is never reached) but `SimulationFailed`
-    /// there.
-    fn simulate_dropping(
-        &self,
-        faulty: &Circuit,
-        nominals: &[Wave],
-        cache: &PatternCache,
-    ) -> (Result<FaultOutcome, SpiceError>, FaultTelemetry) {
-        // Resolve each observed node to its sample column up front; a
-        // fault cannot remove a node, but guard anyway.
-        let mut columns = Vec::with_capacity(self.observe.len());
-        for name in &self.observe {
-            match faulty.find_node(name) {
-                Some(id) if id != Circuit::GROUND => columns.push(id - 1),
-                _ => return (Ok(missing_observed(name)), FaultTelemetry::default()),
-            }
-        }
-        let mut detected: Option<(f64, usize)> = None;
-        let res = tran_with_cached(faulty, &self.tran, Some(cache), |t, x| {
-            for (k, (&col, nominal)) in columns.iter().zip(nominals).enumerate() {
-                if !nominal.tracks(t, x[col], self.detection.v_tol, self.detection.t_tol) {
-                    detected = Some((t, k));
-                    return false;
-                }
-            }
-            true
-        });
-        match res {
-            Ok(res) => {
-                let mut telemetry = FaultTelemetry::from_tran(&res.stats);
-                telemetry.early_stopped = detected.is_some();
-                let outcome = match detected {
-                    Some((at, k)) => FaultOutcome::Detected {
-                        at,
-                        node: self.observe[k].clone(),
-                    },
-                    None => FaultOutcome::NotDetected,
-                };
-                (Ok(outcome), telemetry)
-            }
-            Err(e) => (Err(e), FaultTelemetry::default()),
-        }
-    }
-
-    /// Scalar simulation used by the batched scheduler — for groups
-    /// whose shared pattern cannot be built and for ejected lanes.
-    /// Always simulates with fault dropping (batch-mode semantics),
-    /// independent of the campaign's `early_stop` flag.
-    fn simulate_scalar(
-        &self,
-        fault: &Fault,
-        faulty: &Circuit,
-        nominals: &[Wave],
-        cache: &PatternCache,
-    ) -> FaultRecord {
-        let _span = cat_telemetry::span!("anafault.fault");
-        let t0 = Instant::now();
-        let (outcome, mut telemetry) = self.simulate_dropping(faulty, nominals, cache);
-        telemetry.wall = t0.elapsed();
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(e) => FaultOutcome::SimulationFailed(e.to_string()),
-        };
-        FaultRecord {
-            fault: fault.clone(),
-            outcome,
-            sim_seconds: telemetry.wall.as_secs_f64(),
-            newton_iterations: telemetry.newton_iterations,
-            telemetry,
-            signature: None,
-        }
-    }
+/// The `InjectionFailed` record for `fault`, timed from `t0`.
+fn injection_failed(fault: &Fault, error: &InjectError, t0: Instant) -> FaultRecord {
+    let telemetry = FaultTelemetry {
+        wall: t0.elapsed(),
+        ..FaultTelemetry::default()
+    };
+    let outcome = FaultOutcome::InjectionFailed(error.to_string());
+    FaultRecord::new(fault, outcome, telemetry, None)
 }
 
 /// The shared guard outcome for an observed node that vanished from
@@ -772,18 +676,21 @@ fn missing_observed(name: &str) -> FaultOutcome {
     FaultOutcome::SimulationFailed(format!("observed node `{name}` missing in faulty circuit"))
 }
 
-/// A campaign frozen after its nominal pass: the configuration, the
-/// session-wide [`PatternCache`] and the resolved nominal waveforms.
-/// `Send + Sync`, so an external scheduler may call
-/// [`PreparedCampaign::simulate_fault`] from many threads at once and
-/// assemble the final document with [`PreparedCampaign::finish`] —
-/// exactly what [`CampaignSession::run_with_progress`] does internally,
-/// but with the scheduling loop inverted out of this crate.
+/// The campaign engine: a campaign frozen after its nominal pass, with
+/// the campaign-wide [`PatternCache`] and the resolved nominal
+/// waveforms. Every session runs on it — [`CampaignSession::run`] and
+/// [`CampaignSession::run_with_progress`] through the scalar worker
+/// pool or lockstep batches, [`CampaignSession::run_resumed`] through
+/// the pool after replaying its checkpoint — and every one returns
+/// through [`PreparedCampaign::finish`].
 ///
-/// Faults always run through the scalar path here (honouring the
-/// campaign's `early_stop` flag); the lockstep batched scheduler needs
-/// the whole fault list up front and stays behind
-/// [`CampaignSession::run`].
+/// The handle is `Send + Sync`, so an external scheduler may call
+/// [`PreparedCampaign::simulate_fault`] from many threads at once and
+/// assemble the document with `finish`; the `anafault-serve` daemon
+/// does exactly that from its worker queue, which serves many
+/// campaigns at once. `simulate_fault` always takes the scalar path
+/// (honouring `early_stop` and signature recording): lockstep batching
+/// needs the whole fault list up front and runs only inside a session.
 #[derive(Debug)]
 pub struct PreparedCampaign {
     campaign: Campaign,
@@ -812,20 +719,18 @@ impl PreparedCampaign {
     /// Applies the campaign's fault budget to a fault list, returning
     /// the slice a session over the same list would simulate.
     pub fn budgeted<'f>(&self, faults: &'f [Fault]) -> &'f [Fault] {
-        let n = self
-            .campaign
-            .max_faults
-            .unwrap_or(faults.len())
-            .min(faults.len());
-        &faults[..n]
+        apply_budget(self.campaign.max_faults, faults)
     }
 
     /// Simulates one fault against the prepared nominal response.
     /// Injection and simulation failures are folded into the record's
     /// outcome, never returned — the same contract as a session worker.
     pub fn simulate_fault(&self, fault: &Fault) -> FaultRecord {
-        self.campaign
-            .simulate_one(fault, &self.nominals, &self.cache)
+        let t0 = Instant::now();
+        match inject(&self.campaign.circuit, fault, self.campaign.model) {
+            Ok(faulty) => self.simulate_injected(fault, &faulty, self.campaign.scalar_mode(), t0),
+            Err(e) => injection_failed(fault, &e, t0),
+        }
     }
 
     /// Assembles the final [`CampaignResult`] from the completed
@@ -860,6 +765,394 @@ impl PreparedCampaign {
         flush_campaign_counters(&result);
         result
     }
+
+    /// Simulates an injected fault in `mode` and compares it against
+    /// the nominal response; a kernel failure becomes the record's
+    /// `SimulationFailed` outcome. The record's wall clock runs from
+    /// `t0`.
+    fn simulate_injected(
+        &self,
+        fault: &Fault,
+        faulty: &Circuit,
+        mode: SimMode,
+        t0: Instant,
+    ) -> FaultRecord {
+        let _span = cat_telemetry::span!("anafault.fault");
+        let simulated = match mode {
+            SimMode::Dropping => self.simulate_dropping(faulty),
+            SimMode::FullLength => self.simulate_full(faulty, false),
+            SimMode::Signature => self.simulate_full(faulty, true),
+        };
+        let (outcome, mut telemetry, signature) = simulated.unwrap_or_else(|e| {
+            let failed = FaultOutcome::SimulationFailed(e.to_string());
+            (failed, FaultTelemetry::default(), None)
+        });
+        telemetry.wall = t0.elapsed();
+        FaultRecord::new(fault, outcome, telemetry, signature)
+    }
+
+    /// Full-length simulation, then per-node detection; any-detect =
+    /// earliest detection across observed nodes (ties keep
+    /// configuration order).
+    fn simulate_full(
+        &self,
+        faulty: &Circuit,
+        want_signature: bool,
+    ) -> Result<Simulated, SpiceError> {
+        let res = tran_with_cached(faulty, &self.campaign.tran, Some(&self.cache), |_, _| true)?;
+        let telemetry = FaultTelemetry::from_tran(&res.stats);
+        let mut waves = Vec::with_capacity(self.campaign.observe.len());
+        for name in &self.campaign.observe {
+            let Some(wave) = res.wave(name) else {
+                return Ok((missing_observed(name), telemetry, None));
+            };
+            waves.push(wave);
+        }
+        let mut first: Option<(f64, usize)> = None;
+        for (k, (wave, nominal)) in waves.iter().zip(&self.nominals).enumerate() {
+            if let Some(at) = self.campaign.detection.first_detection(wave, nominal) {
+                if first.is_none_or(|(best, _)| at < best) {
+                    first = Some((at, k));
+                }
+            }
+        }
+        let signature = want_signature.then(|| self.signature(&waves));
+        Ok((self.outcome(first), telemetry, signature))
+    }
+
+    /// Extracts one node signature per observed node from the faulty
+    /// waveforms, on the grid spanned by the primary nominal transient.
+    fn signature(&self, waves: &[Wave]) -> FaultSignature {
+        let spec = self.campaign.signature_spec();
+        let times = self.nominals[0].times();
+        let t1 = *times.last().expect("nominal is non-empty");
+        let grid = diagnose::grid(times[0], t1, spec.points);
+        FaultSignature {
+            nodes: self
+                .nominals
+                .iter()
+                .zip(waves)
+                .map(|(nominal, faulty)| {
+                    diagnose::extract_signature(nominal, faulty, &grid, spec.onset_eps)
+                })
+                .collect(),
+        }
+    }
+
+    /// Streaming simulation with fault dropping: evaluates the same
+    /// per-sample predicate as [`Wave::first_detection`] while the
+    /// kernel integrates, and abandons the remaining simulation time at
+    /// the first deviating sample. Outcomes are bit-identical to
+    /// [`PreparedCampaign::simulate_full`] whenever the full run
+    /// converges; a deviation followed by a convergence failure is
+    /// `Detected` here (the failing step is never reached) but
+    /// `SimulationFailed` there.
+    fn simulate_dropping(&self, faulty: &Circuit) -> Result<Simulated, SpiceError> {
+        let columns = match self.observed_columns(faulty) {
+            Ok(columns) => columns,
+            Err(outcome) => return Ok((outcome, FaultTelemetry::default(), None)),
+        };
+        let mut detected: Option<(f64, usize)> = None;
+        let res = tran_with_cached(
+            faulty,
+            &self.campaign.tran,
+            Some(&self.cache),
+            |t, x| match self.deviating_node(&columns, t, x) {
+                Some(k) => {
+                    detected = Some((t, k));
+                    false
+                }
+                None => true,
+            },
+        )?;
+        let mut telemetry = FaultTelemetry::from_tran(&res.stats);
+        telemetry.early_stopped = detected.is_some();
+        Ok((self.outcome(detected), telemetry, None))
+    }
+
+    /// Resolves each observed node to its sample column in `faulty`'s
+    /// solution vector. A fault cannot remove a node, but guard anyway:
+    /// a missing one yields the fault's failure outcome.
+    fn observed_columns(&self, faulty: &Circuit) -> Result<Vec<usize>, FaultOutcome> {
+        self.campaign
+            .observe
+            .iter()
+            .map(|name| match faulty.find_node(name) {
+                Some(id) if id != Circuit::GROUND => Ok(id - 1),
+                _ => Err(missing_observed(name)),
+            })
+            .collect()
+    }
+
+    /// The first observed node (in configuration order) whose sample at
+    /// `t` leaves the nominal band — the per-sample predicate of the
+    /// dropping and lockstep paths.
+    fn deviating_node(&self, columns: &[usize], t: f64, x: &[f64]) -> Option<usize> {
+        let band = self.campaign.detection;
+        columns
+            .iter()
+            .zip(&self.nominals)
+            .position(|(&col, nominal)| !nominal.tracks(t, x[col], band.v_tol, band.t_tol))
+    }
+
+    /// The verdict for the earliest detection `(time, observed node)`,
+    /// if any.
+    fn outcome(&self, detected: Option<(f64, usize)>) -> FaultOutcome {
+        match detected {
+            Some((at, k)) => FaultOutcome::Detected {
+                at,
+                node: self.campaign.observe[k].clone(),
+            },
+            None => FaultOutcome::NotDetected,
+        }
+    }
+
+    /// Runs one session over `faults`: the records matched from
+    /// `checkpoint` replay first (in input order, never re-simulated),
+    /// then the remaining faults run through lockstep batches at
+    /// `width` lanes when given, or through the scalar worker pool.
+    /// `started` is the session's clock, started before the nominal
+    /// pass.
+    fn run_session(
+        &self,
+        faults: &[Fault],
+        checkpoint: &[FaultRecord],
+        width: Option<usize>,
+        started: Instant,
+        on_event: impl FnMut(&CampaignProgress),
+    ) -> CampaignResult {
+        let mut progress = Progress {
+            slots: vec![None; faults.len()],
+            completed: 0,
+            on_event,
+        };
+        let replayed = match_checkpoint(faults, checkpoint);
+        for &(i, record) in &replayed {
+            progress.emit(i, record.clone());
+        }
+        let pending: Vec<usize> = (0..faults.len())
+            .filter(|&i| progress.slots[i].is_none())
+            .collect();
+        let lanes = match width {
+            Some(width) => self.run_batched(faults, &pending, width, &mut progress),
+            None => {
+                self.run_pool(faults, &pending, &mut progress);
+                CampaignTelemetry::default()
+            }
+        };
+        let records = progress
+            .slots
+            .into_iter()
+            .map(|r| r.expect("every fault reports exactly once"))
+            .collect();
+        let mut result = self.finish(
+            records,
+            replayed.len() as u64,
+            started.elapsed().as_secs_f64(),
+        );
+        let t = &mut result.telemetry;
+        t.batches = lanes.batches;
+        t.batched_faults = lanes.batched_faults;
+        t.lane_compactions = lanes.lane_compactions;
+        t.lane_refills = lanes.lane_refills;
+        t.ejections = lanes.ejections;
+        result
+    }
+
+    /// The session worker pool: scoped workers pull pending fault
+    /// indices off a shared counter and hand records back over a
+    /// channel, so collection is lock-free and the progress callback
+    /// runs on the calling thread.
+    fn run_pool<F: FnMut(&CampaignProgress)>(
+        &self,
+        faults: &[Fault],
+        pending: &[usize],
+        progress: &mut Progress<F>,
+    ) {
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(usize, FaultRecord)>();
+        std::thread::scope(|scope| {
+            for _ in 0..worker_threads(self.campaign.threads).min(pending.len()) {
+                let tx = tx.clone();
+                let next = &next;
+                scope.spawn(move || {
+                    while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        if tx.send((i, self.simulate_fault(&faults[i]))).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            while let Ok((index, record)) = rx.recv() {
+                progress.emit(index, record);
+            }
+        });
+    }
+
+    /// Lockstep batches: every pending fault is injected up front,
+    /// variants are grouped by stamp-compatible topology (node count,
+    /// unknown dimension, border classification), and each group runs
+    /// through the lockstep kernel `width` lanes at a time over one
+    /// shared matrix structure. A lane is dropped (compacted, and its
+    /// slot refilled from the pending queue) at the first deviating
+    /// sample; lanes the kernel cannot finish are re-run scalar, and
+    /// groups whose shared restricted pattern refuses to build fall
+    /// back to scalar wholesale — both with fault dropping, so verdicts
+    /// always match a scalar `early_stop(true)` session. Returns the
+    /// lane counters.
+    fn run_batched<F: FnMut(&CampaignProgress)>(
+        &self,
+        faults: &[Fault],
+        pending: &[usize],
+        width: usize,
+        progress: &mut Progress<F>,
+    ) -> CampaignTelemetry {
+        let mut lanes = CampaignTelemetry::default();
+        // Injection failures report (and stream) immediately.
+        let mut injected: Vec<Option<Circuit>> = vec![None; faults.len()];
+        let mut groups: BTreeMap<(usize, usize, bool), Vec<usize>> = BTreeMap::new();
+        for &i in pending {
+            let t0 = Instant::now();
+            match inject(&self.campaign.circuit, &faults[i], self.campaign.model) {
+                Ok(faulty) => {
+                    let dim = UnknownMap::new(&faulty).dim();
+                    let border = BatchGroup::is_border(&self.campaign.circuit, &faulty);
+                    groups
+                        .entry((faulty.node_count(), dim, border))
+                        .or_default()
+                        .push(i);
+                    injected[i] = Some(faulty);
+                }
+                Err(e) => progress.emit(i, injection_failed(&faults[i], &e, t0)),
+            }
+        }
+
+        for (&(_, _, border), members) in &groups {
+            let circuits: Vec<&Circuit> = members
+                .iter()
+                .map(|&i| injected[i].as_ref().expect("grouped faults injected"))
+                .collect();
+            let Some(group) = BatchGroup::build(&circuits, border) else {
+                for (&i, faulty) in members.iter().zip(circuits) {
+                    let record = self.simulate_injected(
+                        &faults[i],
+                        faulty,
+                        SimMode::Dropping,
+                        Instant::now(),
+                    );
+                    progress.emit(i, record);
+                }
+                continue;
+            };
+
+            let mut jobs: Vec<LaneJob<'_>> = Vec::with_capacity(members.len());
+            let mut cols: Vec<Vec<usize>> = vec![Vec::new(); faults.len()];
+            for (&i, &faulty) in members.iter().zip(&circuits) {
+                match self.observed_columns(faulty) {
+                    Ok(columns) => {
+                        cols[i] = columns;
+                        jobs.push(LaneJob {
+                            id: i,
+                            circuit: faulty,
+                        });
+                    }
+                    Err(outcome) => {
+                        let record =
+                            FaultRecord::new(&faults[i], outcome, FaultTelemetry::default(), None);
+                        progress.emit(i, record);
+                    }
+                }
+            }
+            if jobs.is_empty() {
+                continue;
+            }
+
+            let mut detected: Vec<Option<(f64, usize)>> = vec![None; faults.len()];
+            let g0 = Instant::now();
+            let (reports, stats) = run_group(
+                &group,
+                width,
+                &self.campaign.tran,
+                &jobs,
+                Some(&self.cache),
+                |id, t, x| match self.deviating_node(&cols[id], t, x) {
+                    Some(k) => {
+                        detected[id] = Some((t, k));
+                        false
+                    }
+                    None => true,
+                },
+            );
+            let group_wall = g0.elapsed();
+
+            lanes.batches += 1;
+            lanes.lane_compactions += stats.compactions;
+            lanes.lane_refills += stats.refills;
+            lanes.ejections += stats.ejections;
+
+            // Wall-clock attribution: every lane — ejected ones too,
+            // their partial work was real — gets a share of the group's
+            // wall time proportional to its Newton iterations.
+            let iters: Vec<u64> = reports.iter().map(|r| r.newton_iterations).collect();
+            for (report, share) in reports.iter().zip(share_wall(group_wall, &iters)) {
+                let i = report.id;
+                let record = if report.completed {
+                    lanes.batched_faults += 1;
+                    let telemetry = FaultTelemetry {
+                        wall: share,
+                        steps: report.steps,
+                        newton_iterations: report.newton_iterations,
+                        early_stopped: detected[i].is_some(),
+                        batch_width: stats.width as u32,
+                        ..FaultTelemetry::default()
+                    };
+                    FaultRecord::new(&faults[i], self.outcome(detected[i]), telemetry, None)
+                } else {
+                    // Ejected: re-run scalar from t = 0; the wasted
+                    // batch share stays on this fault's bill.
+                    let faulty = injected[i].as_ref().expect("ejected lanes were injected");
+                    let mut record = self.simulate_injected(
+                        &faults[i],
+                        faulty,
+                        SimMode::Dropping,
+                        Instant::now(),
+                    );
+                    record.telemetry.wall += share;
+                    record.telemetry.ejected = true;
+                    record.sim_seconds = record.telemetry.wall.as_secs_f64();
+                    record
+                };
+                progress.emit(i, record);
+            }
+        }
+        lanes
+    }
+}
+
+/// Completion bookkeeping for one session: a slot per fault, the
+/// arrival count and the caller's callback. Every record — replayed,
+/// pooled or batched — reaches the result through
+/// [`Progress::emit`].
+struct Progress<F> {
+    slots: Vec<Option<FaultRecord>>,
+    completed: usize,
+    on_event: F,
+}
+
+impl<F: FnMut(&CampaignProgress)> Progress<F> {
+    /// Records one finished fault and streams its progress event.
+    fn emit(&mut self, index: usize, record: FaultRecord) {
+        self.completed += 1;
+        let event = CampaignProgress {
+            index,
+            completed: self.completed,
+            total: self.slots.len(),
+            record,
+        };
+        (self.on_event)(&event);
+        self.slots[index] = Some(event.record);
+    }
 }
 
 impl CampaignSession<'_> {
@@ -881,93 +1174,17 @@ impl CampaignSession<'_> {
     /// (in completion order). Worker threads hand records over an event
     /// channel — result collection is lock-free, and the callback runs
     /// on the calling thread, so it may freely update progress bars or
-    /// stream to a service front-end.
+    /// stream to a service front-end. Batched campaigns run through
+    /// the lockstep kernel instead of the worker pool.
     ///
     /// # Errors
     /// See [`Campaign::run`].
     pub fn run_with_progress(
         self,
-        mut on_event: impl FnMut(&CampaignProgress),
+        on_event: impl FnMut(&CampaignProgress),
     ) -> Result<CampaignResult, SpiceError> {
-        let campaign = self.campaign;
-        let t_start = Instant::now();
-        // One pattern cache per session: the symbolic factorisation of
-        // the nominal topology is shared by every structure-preserving
-        // fault, and each hard-fault stamp shape is analysed exactly
-        // once no matter how many workers touch it.
-        let cache = PatternCache::new();
-        let (nominals, nominal_seconds) = campaign.nominal_pass(&cache)?;
-
-        if let Some(width) = campaign.batch_width() {
-            return self.run_batched(width, &cache, nominals, nominal_seconds, t_start, on_event);
-        }
-
-        let n_threads = if campaign.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            campaign.threads
-        };
-
-        let faults = self.faults;
-        let total = faults.len();
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<FaultRecord>> = vec![None; total];
-        let (tx, rx) = mpsc::channel::<(usize, FaultRecord)>();
-        std::thread::scope(|scope| {
-            for _ in 0..n_threads.min(total.max(1)) {
-                let tx = tx.clone();
-                let next = &next;
-                let nominals = &nominals;
-                let cache = &cache;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let record = campaign.simulate_one(&faults[i], nominals, cache);
-                    if tx.send((i, record)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut completed = 0usize;
-            while let Ok((index, record)) = rx.recv() {
-                completed += 1;
-                let event = CampaignProgress {
-                    index,
-                    completed,
-                    total,
-                    record,
-                };
-                on_event(&event);
-                slots[index] = Some(event.record);
-            }
-        });
-        let records: Vec<FaultRecord> = slots
-            .into_iter()
-            .map(|r| r.expect("every fault reports exactly once"))
-            .collect();
-
-        let telemetry = CampaignTelemetry {
-            pattern_cache_hits: cache.hits(),
-            pattern_cache_misses: cache.misses(),
-            pattern_cache_entries: cache.len(),
-            early_stops: records.iter().filter(|r| r.telemetry.early_stopped).count() as u64,
-            ..CampaignTelemetry::default()
-        };
-        let result = CampaignResult {
-            observed: campaign.observe.clone(),
-            nominals,
-            records,
-            nominal_seconds,
-            total_seconds: t_start.elapsed().as_secs_f64(),
-            telemetry,
-        };
-        flush_campaign_counters(&result);
-        Ok(result)
+        let width = self.campaign.batch_width();
+        self.execute(&[], width, on_event)
     }
 
     /// Resumes a session from checkpointed records: every fault whose
@@ -978,10 +1195,9 @@ impl CampaignSession<'_> {
     /// consumer sees every fault exactly once and
     /// `telemetry.replayed_faults` counts the replays.
     ///
-    /// Matching is by [`Fault::id`](crate::Fault); checkpoint records
-    /// whose id is not in this session's (budgeted) fault list are
-    /// ignored, and only the first record per id counts — a checkpoint
-    /// with a torn duplicate tail replays cleanly. The batched
+    /// Records are matched by [`match_checkpoint`]: by
+    /// [`Fault::id`](crate::Fault), first record per id, ignoring ids
+    /// outside this session's (budgeted) fault list. The batched
     /// scheduler is never used on resume: the tail of an interrupted
     /// campaign runs scalar (honouring `early_stop`), so resumed
     /// verdicts match an uninterrupted scalar run bit for bit.
@@ -991,351 +1207,23 @@ impl CampaignSession<'_> {
     pub fn run_resumed(
         self,
         completed: &[FaultRecord],
-        mut on_event: impl FnMut(&CampaignProgress),
+        on_event: impl FnMut(&CampaignProgress),
     ) -> Result<CampaignResult, SpiceError> {
-        let campaign = self.campaign;
-        let t_start = Instant::now();
-        let cache = PatternCache::new();
-        let (nominals, nominal_seconds) = campaign.nominal_pass(&cache)?;
-        let faults = self.faults;
-        let total = faults.len();
-
-        let mut done: BTreeMap<usize, &FaultRecord> = BTreeMap::new();
-        for record in completed {
-            done.entry(record.fault.id).or_insert(record);
-        }
-
-        let mut slots: Vec<Option<FaultRecord>> = vec![None; total];
-        let mut completed_count = 0usize;
-        let mut replayed = 0u64;
-        for (i, fault) in faults.iter().enumerate() {
-            if let Some(&record) = done.get(&fault.id) {
-                replayed += 1;
-                emit_record(
-                    &mut slots,
-                    &mut completed_count,
-                    total,
-                    &mut on_event,
-                    i,
-                    record.clone(),
-                );
-            }
-        }
-
-        let remaining: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-        let n_threads = if campaign.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            campaign.threads
-        };
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, FaultRecord)>();
-        std::thread::scope(|scope| {
-            for _ in 0..n_threads.min(remaining.len().max(1)) {
-                let tx = tx.clone();
-                let next = &next;
-                let nominals = &nominals;
-                let cache = &cache;
-                let remaining = &remaining;
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= remaining.len() {
-                        break;
-                    }
-                    let i = remaining[k];
-                    let record = campaign.simulate_one(&faults[i], nominals, cache);
-                    if tx.send((i, record)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok((index, record)) = rx.recv() {
-                emit_record(
-                    &mut slots,
-                    &mut completed_count,
-                    total,
-                    &mut on_event,
-                    index,
-                    record,
-                );
-            }
-        });
-        let records: Vec<FaultRecord> = slots
-            .into_iter()
-            .map(|r| r.expect("every fault reports exactly once"))
-            .collect();
-
-        let telemetry = CampaignTelemetry {
-            pattern_cache_hits: cache.hits(),
-            pattern_cache_misses: cache.misses(),
-            pattern_cache_entries: cache.len(),
-            early_stops: records.iter().filter(|r| r.telemetry.early_stopped).count() as u64,
-            replayed_faults: replayed,
-            ..CampaignTelemetry::default()
-        };
-        let result = CampaignResult {
-            observed: campaign.observe.clone(),
-            nominals,
-            records,
-            nominal_seconds,
-            total_seconds: t_start.elapsed().as_secs_f64(),
-            telemetry,
-        };
-        flush_campaign_counters(&result);
-        Ok(result)
+        self.execute(completed, None, on_event)
     }
 
-    /// Batched execution: every fault is injected up front, variants
-    /// are grouped by stamp-compatible topology (node count, unknown
-    /// dimension, border classification), and each group runs through
-    /// the lockstep kernel `width` lanes at a time over one shared
-    /// matrix structure. A lane is dropped (compacted, and its slot
-    /// refilled from the pending queue) at the first deviating sample;
-    /// lanes the kernel cannot finish are re-run scalar, and groups
-    /// whose shared restricted pattern refuses to build fall back to
-    /// scalar wholesale — so verdicts always match a scalar
-    /// `early_stop(true)` session.
-    fn run_batched(
+    /// Prepares the engine on a copy of the campaign and runs the
+    /// session on it; the clock includes the nominal pass.
+    fn execute(
         self,
-        width: usize,
-        cache: &PatternCache,
-        nominals: Vec<Wave>,
-        nominal_seconds: f64,
-        t_start: Instant,
-        mut on_event: impl FnMut(&CampaignProgress),
+        checkpoint: &[FaultRecord],
+        width: Option<usize>,
+        on_event: impl FnMut(&CampaignProgress),
     ) -> Result<CampaignResult, SpiceError> {
-        let campaign = self.campaign;
-        let faults = self.faults;
-        let total = faults.len();
-        let mut slots: Vec<Option<FaultRecord>> = vec![None; total];
-        let mut completed = 0usize;
-        let mut batch_telemetry = CampaignTelemetry::default();
-
-        // Injection failures report (and stream) immediately.
-        let mut injected: Vec<Option<Circuit>> = Vec::with_capacity(total);
-        for (i, fault) in faults.iter().enumerate() {
-            let t0 = Instant::now();
-            match inject(&campaign.circuit, fault, campaign.model) {
-                Ok(c) => injected.push(Some(c)),
-                Err(e) => {
-                    injected.push(None);
-                    let wall = t0.elapsed();
-                    emit_record(
-                        &mut slots,
-                        &mut completed,
-                        total,
-                        &mut on_event,
-                        i,
-                        FaultRecord {
-                            fault: fault.clone(),
-                            outcome: FaultOutcome::InjectionFailed(e.to_string()),
-                            sim_seconds: wall.as_secs_f64(),
-                            newton_iterations: 0,
-                            telemetry: FaultTelemetry {
-                                wall,
-                                ..FaultTelemetry::default()
-                            },
-                            signature: None,
-                        },
-                    );
-                }
-            }
-        }
-
-        let mut groups: BTreeMap<(usize, usize, bool), Vec<usize>> = BTreeMap::new();
-        for (i, faulty) in injected.iter().enumerate() {
-            let Some(faulty) = faulty else { continue };
-            let dim = UnknownMap::new(faulty).dim();
-            let border = BatchGroup::is_border(&campaign.circuit, faulty);
-            groups
-                .entry((faulty.node_count(), dim, border))
-                .or_default()
-                .push(i);
-        }
-
-        for (&(_, _, border), members) in &groups {
-            let refs: Vec<(usize, &Circuit)> = members
-                .iter()
-                .map(|&i| (i, injected[i].as_ref().expect("grouped faults injected")))
-                .collect();
-            let circuits: Vec<&Circuit> = refs.iter().map(|&(_, c)| c).collect();
-            let Some(group) = BatchGroup::build(&circuits, border) else {
-                for &(i, faulty) in &refs {
-                    let record = campaign.simulate_scalar(&faults[i], faulty, &nominals, cache);
-                    emit_record(&mut slots, &mut completed, total, &mut on_event, i, record);
-                }
-                continue;
-            };
-
-            // Resolve observed sample columns per member up front (the
-            // same guard as the scalar dropping path).
-            let mut jobs: Vec<LaneJob<'_>> = Vec::with_capacity(refs.len());
-            let mut cols: Vec<Vec<usize>> = vec![Vec::new(); total];
-            'member: for &(i, faulty) in &refs {
-                let mut columns = Vec::with_capacity(campaign.observe.len());
-                for name in &campaign.observe {
-                    match faulty.find_node(name) {
-                        Some(id) if id != Circuit::GROUND => columns.push(id - 1),
-                        _ => {
-                            emit_record(
-                                &mut slots,
-                                &mut completed,
-                                total,
-                                &mut on_event,
-                                i,
-                                FaultRecord {
-                                    fault: faults[i].clone(),
-                                    outcome: missing_observed(name),
-                                    sim_seconds: 0.0,
-                                    newton_iterations: 0,
-                                    telemetry: FaultTelemetry::default(),
-                                    signature: None,
-                                },
-                            );
-                            continue 'member;
-                        }
-                    }
-                }
-                cols[i] = columns;
-                jobs.push(LaneJob {
-                    id: i,
-                    circuit: faulty,
-                });
-            }
-            if jobs.is_empty() {
-                continue;
-            }
-
-            let mut detected: Vec<Option<(f64, usize)>> = vec![None; total];
-            let g0 = Instant::now();
-            let (reports, stats) = run_group(
-                &group,
-                width,
-                &campaign.tran,
-                &jobs,
-                Some(cache),
-                |id, t, x| {
-                    for (k, (&col, nominal)) in cols[id].iter().zip(&nominals).enumerate() {
-                        if !nominal.tracks(
-                            t,
-                            x[col],
-                            campaign.detection.v_tol,
-                            campaign.detection.t_tol,
-                        ) {
-                            detected[id] = Some((t, k));
-                            return false;
-                        }
-                    }
-                    true
-                },
-            );
-            let group_wall = g0.elapsed();
-
-            batch_telemetry.batches += 1;
-            batch_telemetry.lane_compactions += stats.compactions;
-            batch_telemetry.lane_refills += stats.refills;
-            batch_telemetry.ejections += stats.ejections;
-
-            // Wall-clock attribution: every lane — ejected ones too,
-            // their partial work was real — gets a share of the group's
-            // wall time proportional to its Newton iterations.
-            let iters: Vec<u64> = reports.iter().map(|r| r.newton_iterations).collect();
-            let shares = share_wall(group_wall, &iters);
-            for (report, share) in reports.iter().zip(shares) {
-                let i = report.id;
-                if report.completed {
-                    batch_telemetry.batched_faults += 1;
-                    let outcome = match detected[i] {
-                        Some((at, k)) => FaultOutcome::Detected {
-                            at,
-                            node: campaign.observe[k].clone(),
-                        },
-                        None => FaultOutcome::NotDetected,
-                    };
-                    let telemetry = FaultTelemetry {
-                        wall: share,
-                        steps: report.steps,
-                        halvings: 0,
-                        newton_iterations: report.newton_iterations,
-                        solver: SolverStats::default(),
-                        early_stopped: detected[i].is_some(),
-                        batch_width: stats.width as u32,
-                        ejected: false,
-                    };
-                    emit_record(
-                        &mut slots,
-                        &mut completed,
-                        total,
-                        &mut on_event,
-                        i,
-                        FaultRecord {
-                            fault: faults[i].clone(),
-                            outcome,
-                            sim_seconds: share.as_secs_f64(),
-                            newton_iterations: report.newton_iterations,
-                            telemetry,
-                            signature: None,
-                        },
-                    );
-                } else {
-                    // Ejected: re-run scalar from t = 0; the wasted
-                    // batch share stays on this fault's bill.
-                    let faulty = injected[i].as_ref().expect("ejected lanes were injected");
-                    let mut record = campaign.simulate_scalar(&faults[i], faulty, &nominals, cache);
-                    record.telemetry.wall += share;
-                    record.telemetry.ejected = true;
-                    record.sim_seconds = record.telemetry.wall.as_secs_f64();
-                    emit_record(&mut slots, &mut completed, total, &mut on_event, i, record);
-                }
-            }
-        }
-
-        let records: Vec<FaultRecord> = slots
-            .into_iter()
-            .map(|r| r.expect("every fault reports exactly once"))
-            .collect();
-        let telemetry = CampaignTelemetry {
-            pattern_cache_hits: cache.hits(),
-            pattern_cache_misses: cache.misses(),
-            pattern_cache_entries: cache.len(),
-            early_stops: records.iter().filter(|r| r.telemetry.early_stopped).count() as u64,
-            ..batch_telemetry
-        };
-        let result = CampaignResult {
-            observed: campaign.observe.clone(),
-            nominals,
-            records,
-            nominal_seconds,
-            total_seconds: t_start.elapsed().as_secs_f64(),
-            telemetry,
-        };
-        flush_campaign_counters(&result);
-        Ok(result)
+        let started = Instant::now();
+        let prepared = self.campaign.clone().prepare()?;
+        Ok(prepared.run_session(self.faults, checkpoint, width, started, on_event))
     }
-}
-
-/// Records one finished fault and streams its progress event (shared
-/// by the batched path's several completion sites).
-fn emit_record(
-    slots: &mut [Option<FaultRecord>],
-    completed: &mut usize,
-    total: usize,
-    on_event: &mut impl FnMut(&CampaignProgress),
-    index: usize,
-    record: FaultRecord,
-) {
-    *completed += 1;
-    let event = CampaignProgress {
-        index,
-        completed: *completed,
-        total,
-        record,
-    };
-    on_event(&event);
-    slots[index] = Some(event.record);
 }
 
 /// Campaign runs completed (successful `run_with_progress` returns).
@@ -2256,34 +2144,65 @@ mod tests {
         assert_eq!(dist.field("count").unwrap().as_u64().unwrap(), 5);
     }
 
+    /// The kernel work of one record — every counter the scheduler
+    /// must not change (the wall clock excluded).
+    fn work(r: &FaultRecord) -> (u64, u64, u64, SolverStats) {
+        let t = &r.telemetry;
+        (t.steps, t.halvings, t.newton_iterations, t.solver)
+    }
+
+    /// The RC testbench (dense solver) and the ladder (sparse solver,
+    /// so the solver counters are non-zero), each with its fault list.
+    fn scheduler_cases() -> [(CampaignBuilder, Vec<Fault>); 2] {
+        [
+            (campaign_builder(), fault_set()),
+            (
+                ladder_campaign(HardFaultModel::paper_resistor()),
+                ladder_faults(),
+            ),
+        ]
+    }
+
+    /// Asserts that `got` reaches the same verdicts with the same
+    /// kernel work as `reference`, fault by fault.
+    fn assert_same_work(got: &CampaignResult, reference: &CampaignResult, what: &str) {
+        assert_eq!(got.records.len(), reference.records.len(), "{what}");
+        for (i, (res, refr)) in got.records.iter().zip(&reference.records).enumerate() {
+            assert_eq!(res.fault.id, refr.fault.id, "{what}");
+            assert_eq!(res.outcome, refr.outcome, "verdict differs at {i}, {what}");
+            assert_eq!(work(res), work(refr), "work differs at {i}, {what}");
+        }
+    }
+
     #[test]
     fn resume_replays_checkpoint_and_matches_uninterrupted_run() {
-        let faults = fault_set();
-        let reference = campaign().run(&faults).unwrap();
-        for k in [0, 1, 3, faults.len()] {
-            let checkpoint: Vec<FaultRecord> = reference.records[..k].to_vec();
-            let mut events = 0usize;
-            let resumed = campaign()
-                .session(&faults)
-                .run_resumed(&checkpoint, |p| {
-                    // Replays stream first, in input order, verbatim.
-                    if p.completed <= k {
-                        assert_eq!(p.index, p.completed - 1);
+        for (builder, faults) in scheduler_cases() {
+            for threads in [1, 4] {
+                let campaign = builder.clone().threads(threads).build().unwrap();
+                let reference = campaign.run(&faults).unwrap();
+                for k in [0, 1, 3, faults.len()] {
+                    let checkpoint: Vec<FaultRecord> = reference.records[..k].to_vec();
+                    let mut events = 0usize;
+                    let resumed = campaign
+                        .session(&faults)
+                        .run_resumed(&checkpoint, |p| {
+                            // Replays stream first, in input order, verbatim.
+                            if p.completed <= k {
+                                assert_eq!(p.index, p.completed - 1);
+                            }
+                            events += 1;
+                        })
+                        .unwrap();
+                    let what = format!("threads={threads}, k={k}");
+                    assert_eq!(events, faults.len(), "one event per fault at {what}");
+                    assert_eq!(resumed.telemetry.replayed_faults, k as u64);
+                    assert_same_work(&resumed, &reference, &what);
+                    for (res, refr) in resumed.records.iter().zip(&reference.records).take(k) {
+                        // Replayed records are clones of the checkpoint —
+                        // bitwise-equal timings prove nothing re-simulated.
+                        assert_eq!(res.sim_seconds, refr.sim_seconds);
+                        assert_eq!(res.telemetry, refr.telemetry);
                     }
-                    events += 1;
-                })
-                .unwrap();
-            assert_eq!(events, faults.len(), "one event per fault at k={k}");
-            assert_eq!(resumed.telemetry.replayed_faults, k as u64);
-            assert_eq!(resumed.records.len(), reference.records.len());
-            for (i, (res, refr)) in resumed.records.iter().zip(&reference.records).enumerate() {
-                assert_eq!(res.fault.id, refr.fault.id);
-                assert_eq!(res.outcome, refr.outcome, "verdict differs at {i}, k={k}");
-                if i < k {
-                    // Replayed records are clones of the checkpoint —
-                    // bitwise-equal timings prove nothing re-simulated.
-                    assert_eq!(res.sim_seconds, refr.sim_seconds);
-                    assert_eq!(res.telemetry, refr.telemetry);
                 }
             }
         }
@@ -2318,24 +2237,36 @@ mod tests {
 
     #[test]
     fn prepared_campaign_matches_session_run() {
-        let faults = fault_set();
-        let reference = campaign().run(&faults).unwrap();
-        let prepared = campaign().prepare().unwrap();
-        let budgeted = prepared.budgeted(&faults);
-        assert_eq!(budgeted.len(), faults.len());
-        let records: Vec<FaultRecord> = budgeted
-            .iter()
-            .map(|f| prepared.simulate_fault(f))
-            .collect();
-        let result = prepared.finish(records, 2, 1.5);
-        assert_eq!(result.observed, reference.observed);
-        assert_eq!(result.nominals, reference.nominals);
-        assert_eq!(result.records.len(), reference.records.len());
-        for (res, refr) in result.records.iter().zip(&reference.records) {
-            assert_eq!(res.outcome, refr.outcome);
+        for (builder, faults) in scheduler_cases() {
+            for threads in [1, 4] {
+                let campaign = builder.clone().threads(threads).build().unwrap();
+                let reference = campaign.run(&faults).unwrap();
+                let prepared = campaign.prepare().unwrap();
+                let budgeted = prepared.budgeted(&faults);
+                assert_eq!(budgeted.len(), faults.len());
+                let records: Vec<FaultRecord> = budgeted
+                    .iter()
+                    .map(|f| prepared.simulate_fault(f))
+                    .collect();
+                let result = prepared.finish(records, 2, 1.5);
+                assert_eq!(result.observed, reference.observed);
+                assert_eq!(result.nominals, reference.nominals);
+                assert_same_work(&result, &reference, &format!("threads={threads}"));
+                assert_eq!(result.telemetry.replayed_faults, 2);
+                assert_eq!(result.total_seconds, 1.5);
+            }
         }
-        assert_eq!(result.telemetry.replayed_faults, 2);
-        assert_eq!(result.total_seconds, 1.5);
+        // The ladder runs on the sparse solver, so the comparison above
+        // covered its counters too.
+        let ladder = ladder_campaign(HardFaultModel::paper_resistor())
+            .build()
+            .unwrap()
+            .run(&ladder_faults())
+            .unwrap();
+        assert!(ladder
+            .records
+            .iter()
+            .any(|r| r.telemetry.solver.refactorisations > 0));
     }
 
     #[test]

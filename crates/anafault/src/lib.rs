@@ -49,9 +49,10 @@ pub mod report;
 pub mod soft;
 
 pub use campaign::{
-    share_wall, BatchMode, Campaign, CampaignBuilder, CampaignProgress, CampaignReport,
-    CampaignResult, CampaignSession, CampaignTelemetry, ConfigError, FaultOutcome, FaultRecord,
-    FaultTelemetry, PreparedCampaign, DEFAULT_BATCH_WIDTH,
+    apply_budget, match_checkpoint, share_wall, worker_threads, BatchMode, Campaign,
+    CampaignBuilder, CampaignProgress, CampaignReport, CampaignResult, CampaignSession,
+    CampaignTelemetry, ConfigError, FaultOutcome, FaultRecord, FaultTelemetry, PreparedCampaign,
+    DEFAULT_BATCH_WIDTH,
 };
 pub use coverage::{coverage_curve, DetectionSpec};
 pub use diagnosis::{build_dictionary, DictionaryError};

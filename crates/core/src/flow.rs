@@ -34,24 +34,14 @@
 //! Every fallible step funnels into [`CatError`], the crate-wide error
 //! type; long campaigns can stream per-fault progress through
 //! [`CatSystem::simulate_with_progress`].
-//!
-//! # Deprecation path
-//!
-//! The pre-0.2 positional entry points [`CatSystem::campaign`] and
-//! [`CatSystem::run_campaign`] still compile behind `#[deprecated]`
-//! shims for one release; they forward to the builder and will be
-//! removed afterwards. Migrate by listing the same five settings as
-//! builder calls (`testbench`, `tran`, `observe`, `detection`,
-//! `model`).
 
 use anafault::{
     Campaign, CampaignBuilder, CampaignProgress, CampaignReport, CampaignResult, ConfigError,
-    DetectionSpec, Fault, HardFaultModel, InjectError,
+    Fault, InjectError,
 };
 use extract::{ExtractError, ExtractOptions, ExtractedNetlist};
 use layout::{FlatLayout, Technology};
 use lift::{extract_faults, LiftOptions, LiftResult};
-use spice::tran::TranSpec;
 use spice::{Circuit, SpiceError};
 
 /// The unified error type of the CAT system: everything a flow can
@@ -199,52 +189,13 @@ impl CatSystem {
         let report = result.report();
         Ok((result, report))
     }
-
-    /// Builds a campaign over a caller-prepared testbench circuit.
-    #[deprecated(
-        since = "0.2.0",
-        note = "configure campaigns with `CatSystem::campaign_builder()` instead"
-    )]
-    pub fn campaign(
-        &self,
-        testbench: Circuit,
-        tran: TranSpec,
-        observe: &str,
-        detection: DetectionSpec,
-        model: HardFaultModel,
-    ) -> Campaign {
-        Campaign::builder()
-            .testbench(testbench)
-            .tran(tran)
-            .observe(observe)
-            .detection(detection)
-            .model(model)
-            .build()
-            .expect("all mandatory settings are present")
-    }
-
-    /// Convenience: run the whole fault simulation with LIFT's list.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CatSystem::campaign_builder()` + `CatSystem::simulate()` instead"
-    )]
-    pub fn run_campaign(
-        &self,
-        testbench: Circuit,
-        tran: TranSpec,
-        observe: &str,
-        detection: DetectionSpec,
-        model: HardFaultModel,
-    ) -> Result<CampaignResult, SpiceError> {
-        #[allow(deprecated)]
-        self.campaign(testbench, tran, observe, detection, model)
-            .run(&self.fault_list())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anafault::{DetectionSpec, HardFaultModel};
+    use spice::tran::TranSpec;
     use spice::{ElementKind, Waveform};
 
     #[test]
@@ -332,40 +283,6 @@ mod tests {
                 .map(|r| (&r.fault.label, &r.outcome))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        let (flat, tech) = vco::vco_layout();
-        let sys = CatSystem::from_layout(
-            &flat,
-            &tech,
-            &ExtractOptions::default(),
-            &LiftOptions::default(),
-        )
-        .unwrap();
-        let mut tb = sys.circuit.clone();
-        vco::attach_sources(&mut tb, &vco::TestbenchParams::default());
-        #[allow(deprecated)]
-        let old = sys.campaign(
-            tb.clone(),
-            TranSpec::new(10e-9, 4e-6).with_uic(),
-            "11",
-            DetectionSpec::paper_fig5(),
-            HardFaultModel::paper_resistor(),
-        );
-        let new = sys
-            .campaign_builder()
-            .testbench(tb)
-            .tran(TranSpec::new(10e-9, 4e-6).with_uic())
-            .observe("11")
-            .detection(DetectionSpec::paper_fig5())
-            .model(HardFaultModel::paper_resistor())
-            .build()
-            .unwrap();
-        assert_eq!(old.observed(), new.observed());
-        assert_eq!(old.detection(), new.detection());
-        assert_eq!(old.model(), new.model());
     }
 
     #[test]

@@ -165,13 +165,7 @@ impl Server {
         fs::create_dir_all(&config.state_dir)?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let sim_workers = if config.sim_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.sim_workers
-        };
+        let sim_workers = anafault::worker_threads(config.sim_workers);
         let http_workers = config.http_workers.max(1);
         let inner = Arc::new(Inner {
             config,
@@ -307,16 +301,7 @@ impl Inner {
         *run.phase.lock().expect("phase poisoned") = CampaignPhase::Done;
         run.log.push(protocol::result_event_json(&result));
         run.log.close();
-        {
-            let mut quota = self.quota.lock().expect("quota poisoned");
-            quota.running_campaigns = quota.running_campaigns.saturating_sub(1);
-            if let Some(n) = quota.client_faults.get_mut(&run.client) {
-                *n = n.saturating_sub(run.faults.len());
-                if *n == 0 {
-                    quota.client_faults.remove(&run.client);
-                }
-            }
-        }
+        self.release_quota(&run.client, run.faults.len());
         self.gc_state_dir();
     }
 
@@ -378,10 +363,6 @@ impl Inner {
         resumed: bool,
     ) -> io::Result<Arc<CampaignRun>> {
         let total = faults.len();
-        let mut done: BTreeMap<usize, &FaultRecord> = BTreeMap::new();
-        for record in replayed_records {
-            done.entry(record.fault.id).or_insert(record);
-        }
         // Rewrite the checkpoint from scratch: this renumbers the
         // replayed lines 1..k, drops any torn tail, and leaves the file
         // open for the live appends that follow.
@@ -393,19 +374,17 @@ impl Inner {
         let log = EventLog::new();
         let mut slots: Vec<Option<FaultRecord>> = vec![None; total];
         let mut completed = 0usize;
-        for (i, fault) in faults.iter().enumerate() {
-            if let Some(&record) = done.get(&fault.id) {
-                completed += 1;
-                let line = protocol::progress_to_json(&CampaignProgress {
-                    index: i,
-                    completed,
-                    total,
-                    record: record.clone(),
-                });
-                checkpoint::append_line(&mut checkpoint_file, &line)?;
-                log.push(line);
-                slots[i] = Some(record.clone());
-            }
+        for (i, record) in anafault::match_checkpoint(&faults, replayed_records) {
+            completed += 1;
+            let line = protocol::progress_to_json(&CampaignProgress {
+                index: i,
+                completed,
+                total,
+                record: record.clone(),
+            });
+            checkpoint::append_line(&mut checkpoint_file, &line)?;
+            log.push(line);
+            slots[i] = Some(record.clone());
         }
         let replayed = completed as u64;
         if resumed {
@@ -646,10 +625,7 @@ impl Inner {
         // campaign replays exactly the admitted fault list.
         let deduped = spec.dedup_faults();
         let client = spec.client.clone().unwrap_or_default();
-        let budgeted = spec
-            .max_faults
-            .unwrap_or(spec.faults.len())
-            .min(spec.faults.len());
+        let budgeted = anafault::apply_budget(spec.max_faults, &spec.faults).len();
         if let Err(reason) = self.try_reserve_quota(&client, budgeted) {
             let body = format!("{{\"error\": {}}}\n", quote(&reason));
             return http::respond_json(out, 429, &body);

@@ -492,7 +492,11 @@ impl Circuit {
                 }
             }
         }
-        for m in self.models.values() {
+        // Sorted by name: `models` is a `HashMap`, and the text must not
+        // depend on its per-instance iteration order.
+        let mut models: Vec<(&String, &MosModel)> = self.models.iter().collect();
+        models.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (_, m) in models {
             let pol = match m.polarity {
                 MosPolarity::Nmos => "nmos",
                 MosPolarity::Pmos => "pmos",
@@ -677,5 +681,42 @@ mod tests {
         assert!(text.contains("V1 a 0 dc 5"));
         assert!(text.contains("R1 a 0 1000"));
         assert!(text.ends_with(".end\n"));
+    }
+
+    #[test]
+    fn netlist_text_is_identical_across_builds() {
+        let build = || {
+            let mut c = Circuit::new("models");
+            let d = c.node("d");
+            // Lower-case models and upper-case elements: the parser
+            // normalises both that way, so the text can round-trip exactly.
+            for name in ["nch", "pch", "nlow", "phigh", "nmid"] {
+                let model = if name.starts_with('n') {
+                    MosModel::default_nmos(name)
+                } else {
+                    MosModel::default_pmos(name)
+                };
+                c.add(
+                    format!("M{}", name.to_ascii_uppercase()),
+                    vec![d, Circuit::GROUND, Circuit::GROUND, Circuit::GROUND],
+                    ElementKind::Mosfet {
+                        model: name.into(),
+                        w: 2e-6,
+                        l: 1e-6,
+                    },
+                );
+                c.add_model(model);
+            }
+            c.to_netlist()
+        };
+        let text = build();
+        for _ in 0..8 {
+            assert_eq!(build(), text, "every build emits the same bytes");
+        }
+        let models: Vec<&str> = text.lines().filter(|l| l.starts_with(".model")).collect();
+        assert_eq!(models.len(), 5);
+        let reparsed = crate::parser::parse_netlist(&text).unwrap();
+        assert_eq!(reparsed.models.len(), 5);
+        assert_eq!(reparsed.to_netlist(), text, "the text round-trips");
     }
 }

@@ -48,10 +48,7 @@
 //! # Ok::<(), cat::cat_core::CatError>(())
 //! ```
 //!
-//! Every fallible step above funnels into [`cat_core::CatError`]. The
-//! pre-0.2 positional entry points (`CatSystem::campaign`,
-//! `CatSystem::run_campaign`) remain as `#[deprecated]` shims for one
-//! release — see `cat_core::flow` for the migration table.
+//! Every fallible step above funnels into [`cat_core::CatError`].
 
 pub use anafault;
 pub use cat_core;
