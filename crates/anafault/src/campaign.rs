@@ -135,6 +135,10 @@ pub struct FaultTelemetry {
     pub halvings: u64,
     /// Accepted Newton solves across the whole transient.
     pub newton_iterations: u64,
+    /// Newton iterations of failed attempts — discarded work that
+    /// `newton_iterations` leaves out ([`TranStats::failed_iterations`];
+    /// for a lockstep lane, [`spice::LaneReport::failed_iterations`]).
+    pub failed_iterations: u64,
     /// Sparse-solver work counters (refactorisations, re-pivots,
     /// dense fallbacks, demotions).
     pub solver: SolverStats,
@@ -158,6 +162,7 @@ impl FaultTelemetry {
             steps: stats.steps,
             halvings: stats.halvings,
             newton_iterations: stats.newton_iterations,
+            failed_iterations: stats.failed_iterations,
             solver: stats.solver,
             early_stopped: false,
             batch_width: 0,
@@ -1103,6 +1108,7 @@ impl PreparedCampaign {
                         wall: share,
                         steps: report.steps,
                         newton_iterations: report.newton_iterations,
+                        failed_iterations: report.failed_iterations,
                         early_stopped: detected[i].is_some(),
                         batch_width: stats.width as u32,
                         ..FaultTelemetry::default()
@@ -1328,6 +1334,7 @@ impl CampaignResult {
                 FaultOutcome::SimulationFailed(_) => report.simulation_failed += 1,
             }
             report.newton_iterations += r.telemetry.newton_iterations;
+            report.failed_iterations += r.telemetry.failed_iterations;
             report.steps += r.telemetry.steps;
             report.halvings += r.telemetry.halvings;
             report.solver.merge(&r.telemetry.solver);
@@ -1370,6 +1377,9 @@ pub struct CampaignReport {
     pub fault_sim_seconds: f64,
     /// Accepted Newton solves across all fault simulations.
     pub newton_iterations: u64,
+    /// Newton iterations of failed attempts across all fault
+    /// simulations.
+    pub failed_iterations: u64,
     /// Accepted transient steps across all fault simulations.
     pub steps: u64,
     /// Timestep halvings across all fault simulations.
@@ -1397,6 +1407,7 @@ impl Default for CampaignReport {
             nominal_seconds: 0.0,
             fault_sim_seconds: 0.0,
             newton_iterations: 0,
+            failed_iterations: 0,
             steps: 0,
             halvings: 0,
             solver: SolverStats::default(),
@@ -1419,7 +1430,8 @@ impl CampaignReport {
                 "\"injection_failed\": {}, \"simulation_failed\": {}, ",
                 "\"coverage_percent\": {}, \"wall_seconds\": {}, ",
                 "\"nominal_seconds\": {}, \"fault_sim_seconds\": {}, ",
-                "\"newton_iterations\": {}, \"steps\": {}, \"halvings\": {}, ",
+                "\"newton_iterations\": {}, \"failed_iterations\": {}, ",
+                "\"steps\": {}, \"halvings\": {}, ",
                 "\"early_stops\": {}, \"batches\": {}, \"batched_faults\": {}, ",
                 "\"lane_compactions\": {}, \"lane_refills\": {}, ",
                 "\"ejections\": {}, \"pattern_builds\": {}, ",
@@ -1439,6 +1451,7 @@ impl CampaignReport {
             num(self.nominal_seconds),
             num(self.fault_sim_seconds),
             self.newton_iterations,
+            self.failed_iterations,
             self.steps,
             self.halvings,
             t.early_stops,

@@ -175,12 +175,13 @@ fn signature_from_json(v: &Json) -> Result<FaultSignature, ProtocolError> {
 fn fault_telemetry_json(t: &FaultTelemetry) -> String {
     format!(
         "{{\"wall_seconds\": {}, \"steps\": {}, \"halvings\": {}, \"newton_iterations\": {}, \
-         \"refactorisations\": {}, \"repivots\": {}, \"dense_fallbacks\": {}, \
+         \"failed_iterations\": {}, \"refactorisations\": {}, \"repivots\": {}, \"dense_fallbacks\": {}, \
          \"demotions\": {}, \"early_stopped\": {}, \"batch_width\": {}, \"ejected\": {}}}",
         num(t.wall.as_secs_f64()),
         t.steps,
         t.halvings,
         t.newton_iterations,
+        t.failed_iterations,
         t.solver.refactorisations,
         t.solver.repivots,
         t.solver.dense_fallbacks,
@@ -764,6 +765,7 @@ fn fault_telemetry_from_json(v: Option<&Json>) -> Result<FaultTelemetry, Protoco
         steps: v.field("steps")?.as_u64()?,
         halvings: v.field("halvings")?.as_u64()?,
         newton_iterations: v.field("newton_iterations")?.as_u64()?,
+        failed_iterations: opt_u64(v, "failed_iterations")?,
         solver: SolverStats {
             refactorisations: v.field("refactorisations")?.as_u64()?,
             repivots: v.field("repivots")?.as_u64()?,
@@ -1466,6 +1468,7 @@ mod tests {
                         steps: 120,
                         halvings: 3,
                         newton_iterations: 400,
+                        failed_iterations: 1600,
                         solver: SolverStats {
                             refactorisations: 123,
                             repivots: 1,
@@ -1621,6 +1624,22 @@ mod tests {
         assert_eq!(back.telemetry, CampaignTelemetry::default());
         assert_eq!(back.records[0].telemetry, FaultTelemetry::default());
         assert_eq!(back.records[0].newton_iterations, 40);
+    }
+
+    /// Telemetry written before `failed_iterations` existed parses it
+    /// as 0 and keeps every other counter.
+    #[test]
+    fn telemetry_without_failed_iterations_parses_as_zero() {
+        let original = sample_result();
+        let text = to_json(&original);
+        let old = text.replace("\"failed_iterations\": 1600, ", "");
+        assert_ne!(old, text, "the sample writes the field");
+        let back = from_json(&old).expect("capture without the field parses");
+        let expected = FaultTelemetry {
+            failed_iterations: 0,
+            ..original.records[0].telemetry
+        };
+        assert_eq!(back.records[0].telemetry, expected);
     }
 
     /// A *present but malformed* telemetry object is a schema error,

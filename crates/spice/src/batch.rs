@@ -47,14 +47,16 @@
 //! transversal refuse to build at all ([`BatchGroup::build`] returns
 //! `None`) and run scalar. See `docs/batched.md`.
 
-use crate::dcop::{dc_operating_point_with, newton_update, NewtonOpts};
+use crate::dcop::{
+    dc_operating_point_with, newton_update, CycleGuard, NewtonOpts, FAILED_ITERATIONS,
+};
 use crate::devices::{
     stamp_linear, stamp_nonlinear, CapCompanion, StampParams, StampPlan, UnknownMap,
 };
 use crate::mna::{Stamper, REL_PIVOT_TOL};
 use crate::netlist::{Circuit, ElementKind};
 use crate::sparse::{
-    pattern_coords, Pattern, PatternCache, Plan, DENSE_CUTOFF, GROWTH_LIMIT, NO_SLOT,
+    pattern_coords, Pattern, PatternCache, Plan, SolverStats, DENSE_CUTOFF, GROWTH_LIMIT, NO_SLOT,
 };
 use crate::tran::{cap_instances, CapInstance, CapState, Integrator, TranSpec};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -596,6 +598,9 @@ pub struct LaneReport {
     pub steps: u64,
     /// Newton iterations spent on accepted steps.
     pub newton_iterations: u64,
+    /// Newton iterations of failed phases (a plain phase before its
+    /// damped retry, and the failing step of an ejected lane).
+    pub failed_iterations: u64,
     /// The sample callback stopped the lane before the grid ended.
     pub stopped_early: bool,
     /// `true` when the lane ran start-to-finish (or was stopped by its
@@ -622,6 +627,8 @@ pub struct BatchRunStats {
     pub steps: u64,
     /// Total Newton iterations across lanes.
     pub newton_iterations: u64,
+    /// Total failed-phase Newton iterations across lanes.
+    pub failed_iterations: u64,
 }
 
 /// Per-job precomputed context (map, capacitances, stamp plan).
@@ -640,6 +647,7 @@ struct Lane {
     caps: Vec<CapState>,
     steps: u64,
     iters: u64,
+    failed: u64,
 }
 
 /// Per-lane Newton bookkeeping for the step in flight.
@@ -648,6 +656,9 @@ struct NewtonLane {
     x_start: Vec<f64>,
     damped: bool,
     iter: usize,
+    /// Solves this lane took part in over both phases of the step.
+    solves: usize,
+    guard: CycleGuard,
     /// `Some(Ok(iters))` converged (iterate latched), `Some(Err(()))`
     /// failed both phases.
     done: Option<Result<usize, ()>>,
@@ -711,6 +722,7 @@ fn start_lane<F: FnMut(usize, f64, &[f64]) -> bool>(
         id: jobs[j].id,
         steps: 0,
         newton_iterations: 0,
+        failed_iterations: 0,
         stopped_early: false,
         completed: false,
     };
@@ -735,6 +747,7 @@ fn start_lane<F: FnMut(usize, f64, &[f64]) -> bool>(
             id: jobs[j].id,
             steps: 0,
             newton_iterations: 0,
+            failed_iterations: 0,
             stopped_early: true,
             completed: true,
         });
@@ -746,6 +759,7 @@ fn start_lane<F: FnMut(usize, f64, &[f64]) -> bool>(
         caps,
         steps: 0,
         iters: 0,
+        failed: 0,
     })
 }
 
@@ -930,6 +944,8 @@ where
                 x_start: st.x.clone(),
                 damped: false,
                 iter: 0,
+                solves: 0,
+                guard: CycleGuard::default(),
                 done: None,
             });
         }
@@ -970,6 +986,7 @@ where
             sys.solve(&active, &mut ok);
             for &l in &pending {
                 let nl = newton[l].as_mut().expect("pending lane");
+                nl.solves += 1;
                 let mut failed = !ok[l];
                 if !failed {
                     sys.solution(l, &mut x_new);
@@ -980,9 +997,13 @@ where
                 if !failed {
                     let opts = if nl.damped { &damped_opts } else { plain };
                     nl.iter += 1;
+                    // Lane solves carry no solver state from one
+                    // iteration to the next, hence the constant state.
                     if newton_update(&mut nl.x, &x_new, opts) {
                         nl.done = Some(Ok(nl.iter));
-                    } else if nl.iter >= opts.max_iter {
+                    } else if nl.iter >= opts.max_iter
+                        || nl.guard.repeats(&nl.x, SolverStats::default())
+                    {
                         failed = true;
                     }
                 }
@@ -994,6 +1015,7 @@ where
                     } else {
                         nl.damped = true;
                         nl.iter = 0;
+                        nl.guard.reset();
                         nl.x.copy_from_slice(&nl.x_start);
                     }
                 }
@@ -1002,15 +1024,14 @@ where
 
         // Commit, record, retire, refill.
         for &l in &occupied {
-            let result = newton[l]
-                .as_ref()
-                .and_then(|nl| nl.done)
-                .expect("newton loop resolves every lane");
+            let nl = newton[l].as_ref().expect("newton loop resolves every lane");
+            let result = nl.done.expect("newton loop resolves every lane");
+            let accepted = result.unwrap_or(0);
+            lanes[l].as_mut().expect("occupied lane").failed += (nl.solves - accepted) as u64;
             match result {
                 Ok(iters) => {
                     let st = lanes[l].as_mut().expect("occupied lane");
                     let ctx = ctxs[st.job].as_ref().expect("started lane has context");
-                    let nl = newton[l].as_ref().expect("resolved lane");
                     st.steps += 1;
                     st.iters += iters as u64;
                     for ((inst, cs), cc) in ctx
@@ -1038,6 +1059,7 @@ where
                             id: jobs[st.job].id,
                             steps: st.steps,
                             newton_iterations: st.iters,
+                            failed_iterations: st.failed,
                             stopped_early: !keep_going && !finished_grid,
                             completed: true,
                         };
@@ -1046,6 +1068,7 @@ where
                         }
                         stats.steps += st.steps;
                         stats.newton_iterations += st.iters;
+                        stats.failed_iterations += st.failed;
                         reports[st.job] = Some(report);
                         lanes[l] = None;
                         fill_slot!(l, true);
@@ -1057,10 +1080,12 @@ where
                     stats.compactions += 1;
                     stats.steps += st.steps;
                     stats.newton_iterations += st.iters;
+                    stats.failed_iterations += st.failed;
                     reports[st.job] = Some(LaneReport {
                         id: jobs[st.job].id,
                         steps: st.steps,
                         newton_iterations: st.iters,
+                        failed_iterations: st.failed,
                         stopped_early: false,
                         completed: false,
                     });
@@ -1080,6 +1105,7 @@ where
     // (`spice.tran.runs` stays scalar-only by design).
     crate::tran::TRAN_STEPS.add(stats.steps);
     crate::tran::NEWTON_ITERATIONS.add(stats.newton_iterations);
+    FAILED_ITERATIONS.add(stats.failed_iterations);
 
     let reports = reports
         .into_iter()

@@ -4,13 +4,21 @@
 //! (sweeping a node-shunt conductance down in decades), then source
 //! stepping (ramping all independent sources from zero) — the classic
 //! SPICE fallback ladder.
+//!
+//! Every Newton loop in the crate — [`solve_newton_in`] (DC ladder and
+//! transient rungs) and the lockstep lanes of [`crate::batch`] — ends
+//! an attempt early when its iterate repeats bit for bit
+//! (`CycleGuard`). A repeat proves the iteration has entered an exact
+//! limit cycle that can never converge, so the attempt fails with the
+//! same [`SpiceError::NoConvergence`] it would have reported at
+//! `max_iter`, minus the factorisations in between.
 
 use crate::devices::{
     stamp_all_planned, stamp_linear, stamp_nonlinear, StampParams, StampPlan, UnknownMap,
 };
 use crate::mna::Stamper;
 use crate::netlist::Circuit;
-use crate::sparse::{MnaSolver, PatternCache, SolverBackend, SolverKind};
+use crate::sparse::{MnaSolver, PatternCache, SolverBackend, SolverKind, SolverStats};
 use crate::SpiceError;
 
 /// Newton iteration controls.
@@ -37,6 +45,23 @@ impl Default for NewtonOpts {
     }
 }
 
+/// A failed Newton attempt: the error, plus the iterations the attempt
+/// spent before giving up (the iteration whose solve errored
+/// included), so callers can account for the discarded work.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NewtonFailure {
+    /// Why the attempt failed.
+    pub error: SpiceError,
+    /// Iterations spent, the failing one included.
+    pub iterations: usize,
+}
+
+impl From<NewtonFailure> for SpiceError {
+    fn from(failure: NewtonFailure) -> Self {
+        failure.error
+    }
+}
+
 /// Runs damped Newton–Raphson from the initial guess `x0`. Returns the
 /// solution together with the number of iterations spent (the kernel
 /// work measure the runtime experiments report).
@@ -45,8 +70,9 @@ impl Default for NewtonOpts {
 /// call; the hot paths build both once and call [`solve_newton_in`].
 ///
 /// # Errors
-/// [`SpiceError::NoConvergence`] after `max_iter` iterations,
-/// [`SpiceError::Singular`] when the Jacobian factorisation fails.
+/// [`SpiceError::NoConvergence`] when the iteration cannot converge
+/// within `max_iter` iterations, [`SpiceError::Singular`] when the
+/// Jacobian factorisation fails.
 pub fn solve_newton(
     ckt: &Circuit,
     map: &UnknownMap,
@@ -58,6 +84,7 @@ pub fn solve_newton(
     let plan = StampPlan::new(ckt)?;
     let mut solver = MnaSolver::for_circuit(ckt, map, SolverKind::Auto, None);
     solve_newton_in(&mut solver, ckt, map, &plan, x0, params, opts, analysis)
+        .map_err(SpiceError::from)
 }
 
 /// Runs damped Newton–Raphson inside a caller-owned solver: the
@@ -69,9 +96,27 @@ pub fn solve_newton(
 /// once up front and restored by memcpy each iteration; only the
 /// MOSFET linearisations are re-stamped per iterate.
 ///
+/// # Cycle exit
+/// Within one call the next iterate is a function of the current
+/// iterate `x`, the fixed `params`/`opts`, and the solver's state (its
+/// pivot plan, dense fallbacks and demotion — everything
+/// [`SolverStats`] counts except `refactorisations`). When a
+/// non-converged iterate equals an earlier one bit for bit under the
+/// same solver state, every later iterate repeats the cycle between
+/// them. None of those iterates converged, so none ever will: the
+/// attempt would run to `max_iter` and fail. (The sparse solver's
+/// count of consecutive dense rescues matters only during a rescue,
+/// and a rescue changes the stats.) `CycleGuard` spots the repeat and
+/// the attempt fails at once with that same error. Every call returns
+/// what the loop without the guard returns — the solution and its
+/// iteration count, or the error; only a failure's spent iterations,
+/// and so its factorisations, are fewer.
+///
 /// # Errors
-/// [`SpiceError::NoConvergence`] after `max_iter` iterations,
-/// [`SpiceError::Singular`] when the Jacobian factorisation fails.
+/// [`SpiceError::NoConvergence`] when the iteration cannot converge
+/// within `max_iter` iterations (or hits a non-finite iterate),
+/// [`SpiceError::Singular`] when the Jacobian factorisation fails —
+/// each with the iterations the attempt spent.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_newton_in(
     solver: &mut MnaSolver,
@@ -82,13 +127,19 @@ pub fn solve_newton_in(
     params: &StampParams<'_>,
     opts: &NewtonOpts,
     analysis: &str,
-) -> Result<(Vec<f64>, usize), SpiceError> {
+) -> Result<(Vec<f64>, usize), NewtonFailure> {
     let mut x = x0.to_vec();
     if let Some(sys) = solver.sparse_mut() {
         sys.clear();
         stamp_linear(ckt, map, sys, params);
         sys.snapshot_baseline();
     }
+    let failure = |error: SpiceError, iterations: usize| {
+        FAILED_ITERATIONS.add(iterations as u64);
+        NewtonFailure { error, iterations }
+    };
+    let mut guard = CycleGuard::default();
+    let mut spent = opts.max_iter;
     for iter in 0..opts.max_iter {
         match solver.backend_mut() {
             SolverBackend::Sparse(sys) => {
@@ -99,27 +150,113 @@ pub fn solve_newton_in(
                 stamp_all_planned(ckt, map, plan, &x, sys, params);
             }
         }
-        let x_new = solver.solve(analysis)?;
+        let x_new = solver
+            .solve(analysis)
+            .map_err(|error| failure(error, iter + 1))?;
         // A non-finite iterate means the solve overflowed (e.g.
         // inf − inf in back-substitution). NaN comparisons would
         // otherwise read as "converged" and hand a poisoned solution
         // to the caller — fail the analysis instead.
         if x_new.iter().any(|v| !v.is_finite()) {
             NONFINITE_ABORTS.inc();
-            return Err(SpiceError::NoConvergence {
-                analysis: analysis.to_string(),
-                detail: format!("non-finite solution at iteration {}", iter + 1),
-            });
+            return Err(failure(
+                SpiceError::NoConvergence {
+                    analysis: analysis.to_string(),
+                    detail: format!("non-finite solution at iteration {}", iter + 1),
+                },
+                iter + 1,
+            ));
         }
         if newton_update(&mut x, &x_new, opts) {
             return Ok((x, iter + 1));
         }
+        if guard.repeats(&x, solver.stats()) {
+            spent = iter + 1;
+            break;
+        }
     }
     CONVERGENCE_FAILURES.inc();
-    Err(SpiceError::NoConvergence {
-        analysis: analysis.to_string(),
-        detail: format!("no convergence in {} iterations", opts.max_iter),
-    })
+    // A cycle exit reports exactly what the loop would have reported
+    // at `max_iter` (see "Cycle exit" above).
+    Err(failure(
+        SpiceError::NoConvergence {
+            analysis: analysis.to_string(),
+            detail: format!("no convergence in {} iterations", opts.max_iter),
+        },
+        spent,
+    ))
+}
+
+/// Exact limit-cycle detector for one Newton attempt, shared by
+/// [`solve_newton_in`] and the lockstep lanes of [`crate::batch`].
+///
+/// Feed it every non-converged iterate together with the solver state
+/// that will produce the next iterate from it. It keeps one saved
+/// iterate (O(n) memory) and replaces it at exponentially spaced
+/// observations — Brent's cycle-finding algorithm — so any cycle of
+/// period λ is found within a few multiples of its run-in plus λ
+/// observations. [`CycleGuard::repeats`] returns `true` when the
+/// iterate equals the saved one bit for bit (`to_bits`: `-0.0` and
+/// `0.0` differ, as they may steer the next iterate differently) and
+/// the solver state is unchanged. The state is [`SolverStats`] with
+/// `refactorisations` ignored: a re-pivot, dense fallback or demotion
+/// changes how the next iterate is computed, so it re-arms the guard
+/// instead of matching. Why a match ends the attempt exactly is argued
+/// on [`solve_newton_in`]. A default guard is unarmed and allocates on
+/// its first save.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CycleGuard {
+    /// The saved iterate (Brent's tortoise), valid while `armed`.
+    saved: Vec<f64>,
+    /// Solver state when `saved` was current, `refactorisations` zeroed.
+    state: SolverStats,
+    armed: bool,
+    /// Observations since `saved` was taken.
+    since: usize,
+    /// Observations the saved iterate is kept for before the next save.
+    window: usize,
+}
+
+impl CycleGuard {
+    /// Forgets the saved iterate: the next observation starts a new
+    /// attempt (the batched lanes reuse a guard for the damped phase).
+    pub(crate) fn reset(&mut self) {
+        self.armed = false;
+    }
+
+    /// Observes the non-converged iterate `x` under solver `state`;
+    /// `true` when it repeats the saved iterate bit for bit.
+    pub(crate) fn repeats(&mut self, x: &[f64], state: SolverStats) -> bool {
+        let state = SolverStats {
+            refactorisations: 0,
+            ..state
+        };
+        if self.armed && state == self.state {
+            let same = self.saved.len() == x.len()
+                && self
+                    .saved
+                    .iter()
+                    .zip(x)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if same {
+                CYCLE_EXITS.inc();
+                return true;
+            }
+            self.since += 1;
+            if self.since < self.window {
+                return false;
+            }
+            self.window *= 2;
+        } else {
+            self.window = 1;
+        }
+        self.saved.clear();
+        self.saved.extend_from_slice(x);
+        self.state = state;
+        self.armed = true;
+        self.since = 0;
+        false
+    }
 }
 
 /// One damped Newton update: moves `x` towards `x_new` with each
@@ -140,10 +277,18 @@ pub(crate) fn newton_update(x: &mut [f64], x_new: &[f64], opts: &NewtonOpts) -> 
     converged
 }
 
-/// Newton runs that exhausted `max_iter` (includes rungs of the dcop
-/// ladder that are *expected* to fail before a later rung succeeds).
+/// Newton runs that exhausted `max_iter` or were proven to cycle
+/// (includes rungs of the dcop ladder that are *expected* to fail
+/// before a later rung succeeds).
 static CONVERGENCE_FAILURES: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.convergence_failures");
+/// Iterations of every Newton attempt that failed — DC ladder rungs,
+/// transient attempts and lockstep lane phases.
+pub(crate) static FAILED_ITERATIONS: cat_telemetry::StaticCounter =
+    cat_telemetry::StaticCounter::new("spice.newton.failed_iterations");
+/// Newton attempts (scalar or lockstep lane) ended by [`CycleGuard`].
+static CYCLE_EXITS: cat_telemetry::StaticCounter =
+    cat_telemetry::StaticCounter::new("spice.newton.cycle_exits");
 /// Newton runs aborted on a non-finite iterate.
 static NONFINITE_ABORTS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.nonfinite_aborts");
@@ -300,6 +445,366 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SpiceError::NoConvergence { .. }), "{err:?}");
+    }
+
+    /// Feeds `xs` to a fresh guard under one solver state; returns the
+    /// index of the first observation it reports as a repeat.
+    fn first_repeat(xs: impl IntoIterator<Item = Vec<f64>>) -> Option<usize> {
+        let mut guard = CycleGuard::default();
+        xs.into_iter()
+            .position(|x| guard.repeats(&x, SolverStats::default()))
+    }
+
+    /// `run_in` distinct iterates, then a cycle of `period` distinct
+    /// iterates repeated forever.
+    fn run_in_then_cycle(run_in: usize, period: usize) -> impl Iterator<Item = Vec<f64>> {
+        (0..).map(move |i: usize| {
+            if i < run_in {
+                vec![i as f64, -1.0]
+            } else {
+                vec![((i - run_in) % period) as f64, 1.0]
+            }
+        })
+    }
+
+    #[test]
+    fn guard_detects_cycles_after_a_long_run_in() {
+        for period in [2, 3, 37] {
+            for run_in in [0, 1, 100, 1000] {
+                let at = first_repeat(run_in_then_cycle(run_in, period).take(10_000))
+                    .unwrap_or_else(|| panic!("period {period} after {run_in} undetected"));
+                // Only a genuine repeat can fire, and Brent's algorithm
+                // finds it within a few multiples of run-in + period.
+                assert!(at >= run_in + period, "period {period}: fired at {at}");
+                assert!(
+                    at <= 2 * (run_in + period) + period,
+                    "period {period} after {run_in}: found late, at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guard_never_fires_on_distinct_iterates() {
+        // Iterates that differ only in the last bit of one component.
+        let base = 1.0f64;
+        let xs = (0..20_000u64).map(|i| vec![0.5, f64::from_bits(base.to_bits() + i)]);
+        assert_eq!(first_repeat(xs), None);
+    }
+
+    #[test]
+    fn guard_rearms_when_the_solver_state_changes() {
+        let a = [1.0, 2.0];
+        let b = [3.0, 4.0];
+        let stats = |repivots, refactorisations| SolverStats {
+            refactorisations,
+            repivots,
+            ..SolverStats::default()
+        };
+        let mut guard = CycleGuard::default();
+        assert!(!guard.repeats(&a, stats(0, 1)));
+        assert!(!guard.repeats(&b, stats(0, 2)));
+        assert!(!guard.repeats(&a, stats(0, 3)));
+        // `b` again, but a re-pivot happened in between: the next
+        // iterate may differ, so this is no repeat.
+        assert!(!guard.repeats(&b, stats(1, 5)));
+        // Under the new state the cycle repeats once more and is
+        // found; refactorisations alone never count as a state change.
+        let found = [a, b, a, b, a]
+            .iter()
+            .zip(6..)
+            .position(|(x, lu)| guard.repeats(x, stats(1, lu)));
+        assert!(found.is_some_and(|i| i >= 1), "{found:?}");
+
+        for change in [
+            SolverStats {
+                dense_fallbacks: 1,
+                ..SolverStats::default()
+            },
+            SolverStats {
+                demotions: 1,
+                ..SolverStats::default()
+            },
+        ] {
+            let mut guard = CycleGuard::default();
+            assert!(!guard.repeats(&a, SolverStats::default()));
+            assert!(!guard.repeats(&a, change));
+            assert!(guard.repeats(&a, change));
+        }
+
+        // A reset forgets the saved iterate.
+        let mut guard = CycleGuard::default();
+        assert!(!guard.repeats(&a, SolverStats::default()));
+        guard.reset();
+        assert!(!guard.repeats(&a, SolverStats::default()));
+        assert!(guard.repeats(&a, SolverStats::default()));
+    }
+
+    #[test]
+    fn guard_tells_negative_zero_from_zero() {
+        let mut guard = CycleGuard::default();
+        let state = SolverStats::default();
+        assert!(!guard.repeats(&[1.0, -0.0], state));
+        assert!(!guard.repeats(&[1.0, 0.0], state));
+        assert!(!guard.repeats(&[1.0, -0.0], state));
+        // The genuine repeat of the saved `[1.0, 0.0]`.
+        assert!(guard.repeats(&[1.0, 0.0], state));
+    }
+
+    /// The loop of [`solve_newton_in`] without its cycle guard: the
+    /// reference the guarded loop must reproduce.
+    #[allow(clippy::too_many_arguments)]
+    fn unguarded_newton(
+        solver: &mut MnaSolver,
+        ckt: &Circuit,
+        map: &UnknownMap,
+        plan: &StampPlan<'_>,
+        x0: &[f64],
+        params: &StampParams<'_>,
+        opts: &NewtonOpts,
+    ) -> Result<(Vec<f64>, usize), SpiceError> {
+        let mut x = x0.to_vec();
+        if let Some(sys) = solver.sparse_mut() {
+            sys.clear();
+            stamp_linear(ckt, map, sys, params);
+            sys.snapshot_baseline();
+        }
+        for iter in 0..opts.max_iter {
+            match solver.backend_mut() {
+                SolverBackend::Sparse(sys) => {
+                    sys.restore_baseline();
+                    stamp_nonlinear(ckt, map, plan, &x, sys, params);
+                }
+                SolverBackend::Dense(sys) => {
+                    stamp_all_planned(ckt, map, plan, &x, sys, params);
+                }
+            }
+            let x_new = solver.solve("reference")?;
+            if x_new.iter().any(|v| !v.is_finite()) {
+                return Err(SpiceError::NoConvergence {
+                    analysis: "reference".into(),
+                    detail: format!("non-finite solution at iteration {}", iter + 1),
+                });
+            }
+            if newton_update(&mut x, &x_new, opts) {
+                return Ok((x, iter + 1));
+            }
+        }
+        Err(SpiceError::NoConvergence {
+            analysis: "reference".into(),
+            detail: format!("no convergence in {} iterations", opts.max_iter),
+        })
+    }
+
+    /// One random Newton problem: one backward-Euler step of a CMOS
+    /// latch or ring (2–3 inverters with random sizes, loads and load
+    /// history) with extra random resistors, capacitors and
+    /// transistors, from a random start point, under plain or damped
+    /// options, on either solver backend.
+    struct NewtonCase {
+        ckt: Circuit,
+        companions: Vec<crate::devices::CapCompanion>,
+        x0: Vec<f64>,
+        opts: NewtonOpts,
+        kind: SolverKind,
+    }
+
+    fn arb_newton_case() -> impl proptest::Strategy<Value = NewtonCase> {
+        use proptest::collection::vec;
+        use proptest::Strategy;
+        // (kind, terminal, terminal, terminal, size in ‰ of its range)
+        let element = (0usize..4, 0usize..8, 0usize..8, 0usize..8, 0i64..1000);
+        let stage = (0i64..1000, 0i64..1000, 0i64..1000, 0i64..5000);
+        (
+            vec(stage, 2..4),
+            vec(element, 4..12),
+            vec(-1000i64..6000, 16..17),
+            (0usize..2, 0i64..1000),
+            0usize..2,
+        )
+            .prop_map(|(stages, elements, start, (damped, dt), kind)| {
+                let mut ckt = Circuit::new("newton case");
+                ckt.add_model(MosModel::default_nmos("n1"));
+                ckt.add_model(MosModel::default_pmos("p1"));
+                let vdd = ckt.node("vdd");
+                ckt.add(
+                    "Vdd",
+                    vec![vdd, Circuit::GROUND],
+                    ElementKind::Vsource {
+                        wave: Waveform::Dc(5.0),
+                    },
+                );
+                let n = stages.len();
+                let ids: Vec<_> = (0..n).map(|i| ckt.node(&format!("s{i}"))).collect();
+                let dt = 1e-10 * 10f64.powf(dt as f64 / 500.0);
+                let mut companions = Vec::new();
+                let mut cap = |ckt: &mut Circuit, name: String, a, b, c: f64, v_prev: f64| {
+                    ckt.add(name, vec![a, b], ElementKind::Capacitor { c, ic: None });
+                    let geq = c / dt;
+                    companions.push(crate::devices::CapCompanion {
+                        a,
+                        b,
+                        geq,
+                        ieq: -geq * v_prev,
+                    });
+                };
+                let unit = |v: i64| v as f64 / 1000.0;
+                for (i, &(wn, wp, load, v_prev)) in stages.iter().enumerate() {
+                    let (inp, out) = (ids[i], ids[(i + 1) % n]);
+                    ckt.add(
+                        format!("Mn{i}"),
+                        vec![out, inp, Circuit::GROUND, Circuit::GROUND],
+                        ElementKind::Mosfet {
+                            model: "n1".into(),
+                            w: 1e-6 + 30e-6 * unit(wn),
+                            l: 1e-6,
+                        },
+                    );
+                    ckt.add(
+                        format!("Mp{i}"),
+                        vec![out, inp, vdd, vdd],
+                        ElementKind::Mosfet {
+                            model: "p1".into(),
+                            w: 1e-6 + 60e-6 * unit(wp),
+                            l: 1e-6,
+                        },
+                    );
+                    let c = 1e-14 * 10f64.powf(3.0 * unit(load));
+                    cap(
+                        &mut ckt,
+                        format!("Cl{i}"),
+                        out,
+                        Circuit::GROUND,
+                        c,
+                        v_prev as f64 * 1e-3,
+                    );
+                }
+                let node = |i: usize| match i % (n + 2) {
+                    0 => Circuit::GROUND,
+                    1 => vdd,
+                    k => ids[k - 2],
+                };
+                for (i, &(kind, a, b, c, value)) in elements.iter().enumerate() {
+                    let (a, b, c, value) = (node(a), node(b), node(c), unit(value));
+                    match kind {
+                        0 if a != b => ckt.add(
+                            format!("R{i}"),
+                            vec![a, b],
+                            ElementKind::Resistor {
+                                r: 10f64.powf(2.0 + 4.0 * value),
+                            },
+                        ),
+                        1 if a != b => {
+                            let c = 1e-14 * 10f64.powf(3.0 * value);
+                            cap(&mut ckt, format!("C{i}"), a, b, c, 5.0 * value);
+                        }
+                        2 | 3 => {
+                            let (model, body) = if kind == 2 {
+                                ("n1", Circuit::GROUND)
+                            } else {
+                                ("p1", vdd)
+                            };
+                            ckt.add(
+                                format!("M{i}"),
+                                vec![a, b, c, body],
+                                ElementKind::Mosfet {
+                                    model: model.into(),
+                                    w: 1e-6 + 40e-6 * value,
+                                    l: 1e-6,
+                                },
+                            );
+                        }
+                        _ => {}
+                    }
+                }
+                let dim = UnknownMap::new(&ckt).dim();
+                let mut x0: Vec<f64> = start.iter().map(|&v| v as f64 * 1e-3).collect();
+                x0.resize(dim, 0.0);
+                let opts = if damped == 1 {
+                    NewtonOpts {
+                        max_iter: 600,
+                        max_step: 0.1,
+                        ..NewtonOpts::default()
+                    }
+                } else {
+                    NewtonOpts::default()
+                };
+                let kind = [SolverKind::Dense, SolverKind::Sparse][kind];
+                NewtonCase {
+                    ckt,
+                    companions,
+                    x0,
+                    opts,
+                    kind,
+                }
+            })
+    }
+
+    #[test]
+    fn cycle_exit_matches_the_unguarded_loop() {
+        use proptest::Strategy;
+        let strategy = arb_newton_case();
+        let mut rng = proptest::TestRng::for_test("cycle_exit_matches_the_unguarded_loop");
+        let (mut exits, mut converged) = (0, 0);
+        for case in 0..proptest::CASES {
+            let c = strategy.generate(&mut rng);
+            let map = UnknownMap::new(&c.ckt);
+            let plan = StampPlan::new(&c.ckt).expect("models exist");
+            let params = StampParams {
+                time: 1e-9,
+                cap_companions: Some(&c.companions),
+                ..StampParams::default()
+            };
+            let mut guarded_solver = MnaSolver::for_circuit(&c.ckt, &map, c.kind, None);
+            let mut reference_solver = MnaSolver::for_circuit(&c.ckt, &map, c.kind, None);
+            let guarded = solve_newton_in(
+                &mut guarded_solver,
+                &c.ckt,
+                &map,
+                &plan,
+                &c.x0,
+                &params,
+                &c.opts,
+                "reference",
+            );
+            let reference = unguarded_newton(
+                &mut reference_solver,
+                &c.ckt,
+                &map,
+                &plan,
+                &c.x0,
+                &params,
+                &c.opts,
+            );
+            match (&guarded, &reference) {
+                (Ok((x, iters)), Ok((x_ref, iters_ref))) => {
+                    converged += 1;
+                    assert_eq!(iters, iters_ref, "case {case}: iteration counts differ");
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(x), bits(x_ref), "case {case}: solutions differ");
+                }
+                (Err(failure), Err(error)) => {
+                    assert_eq!(&failure.error, error, "case {case}: errors differ")
+                }
+                _ => panic!("case {case}: guarded {guarded:?} vs reference {reference:?}"),
+            }
+            let lu = guarded_solver.stats().refactorisations;
+            let lu_ref = reference_solver.stats().refactorisations;
+            assert!(
+                lu <= lu_ref,
+                "case {case}: guard added work ({lu} > {lu_ref})"
+            );
+            if lu < lu_ref {
+                exits += 1;
+            }
+        }
+        eprintln!(
+            "cycle exits {exits}, converged {converged} of {}",
+            proptest::CASES
+        );
+        // The generator must reach both regimes, or the property is vacuous.
+        assert!(exits > 0, "no case ended in a proven cycle");
+        assert!(converged > 0, "no case converged");
     }
 
     #[test]

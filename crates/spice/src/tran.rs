@@ -110,8 +110,16 @@ pub struct TranStats {
     /// Step-halving events: a Newton failure that split the step in
     /// two (each recursion level counts once).
     pub halvings: u64,
-    /// Newton iterations consumed over the whole run.
+    /// Newton iterations of the solves that converged — the steps the
+    /// run accepted.
     pub newton_iterations: u64,
+    /// Newton iterations of the attempts that failed (a plain attempt
+    /// before its damped retry, a damped retry before a halving),
+    /// counting the iteration whose solve errored. With
+    /// `newton_iterations` it accounts for every factorisation of the
+    /// run: without dense fallbacks, `solver.refactorisations ==
+    /// newton_iterations + failed_iterations + solver.repivots`.
+    pub failed_iterations: u64,
     /// Linear-solver work counters (sparse refactorisations, re-pivots,
     /// dense fallbacks, demotions), surviving any demotion to dense.
     pub solver: SolverStats,
@@ -487,15 +495,17 @@ fn advance(
     };
     // Newton ladder: the configured options first, then a heavily
     // damped retry (regenerative switching points), then step halving.
-    let solved =
-        solve_newton_in(solver, ckt, map, plan, x, &params, &spec.newton, "tran").or_else(|_| {
+    let solved = solve_newton_in(solver, ckt, map, plan, x, &params, &spec.newton, "tran").or_else(
+        |plain| {
+            stats.failed_iterations += plain.iterations as u64;
             let damped = NewtonOpts {
                 max_iter: spec.newton.max_iter * 3,
                 max_step: 0.1,
                 ..spec.newton.clone()
             };
             solve_newton_in(solver, ckt, map, plan, x, &params, &damped, "tran (damped)")
-        });
+        },
+    );
     match solved {
         Ok((next, iters)) => {
             stats.steps += 1;
@@ -509,9 +519,10 @@ fn advance(
             *x = next;
             Ok(())
         }
-        Err(e) => {
+        Err(damped) => {
+            stats.failed_iterations += damped.iterations as u64;
             if depth >= spec.max_halvings {
-                return Err(e);
+                return Err(damped.error);
             }
             stats.halvings += 1;
             let tm = 0.5 * (t0 + t1);
@@ -942,6 +953,22 @@ mod tests {
         assert!(res.wave("out").unwrap().last_value() < 1.0);
         // The output grid is unchanged by the internal halving.
         assert_eq!(res.times(), &[0.0, 2e-6, 4e-6]);
+    }
+
+    #[test]
+    fn failed_iterations_account_for_every_refactorisation() {
+        let (c, spec) = halving_testbench();
+        let res = tran(&c, &spec.with_solver(crate::sparse::SolverKind::Sparse)).unwrap();
+        let s = res.stats;
+        assert!(s.halvings > 0, "the testbench must fail some attempts");
+        assert!(s.failed_iterations > 0);
+        assert_eq!(s.solver.dense_fallbacks, 0);
+        // Each iteration factors once, plus once more per re-pivot.
+        assert_eq!(
+            s.solver.refactorisations,
+            s.newton_iterations + s.failed_iterations + s.solver.repivots,
+            "{s:?}"
+        );
     }
 
     #[test]

@@ -271,3 +271,58 @@ fn coverage_curve_is_monotone_and_saturates_early() {
         result.final_coverage()
     );
 }
+
+#[test]
+fn heavy_fig5_faults_keep_their_verdicts_and_drop_cycling_work() {
+    // Two of the costliest fig5 faults (Source model, full length),
+    // pinned to the verdicts and accepted work of the Newton loop
+    // without a cycle exit. Ending proven limit cycles early must only
+    // remove factorisations: below each fault's earlier count, every
+    // other number bitwise unchanged.
+    let (sys, tb) = bench::vco_system();
+    let pinned: [(usize, f64, u64, u64, u64, u64); 2] = [
+        // (id, detected at, steps, halvings, Newton iterations, refactorisations before)
+        (36, 2.56e-6, 426, 26, 976, 21_776),
+        (62, 2.6e-7, 868, 468, 9_474, 385_476),
+    ];
+    let faults: Vec<Fault> = sys
+        .fault_list()
+        .into_iter()
+        .filter(|f| pinned.iter().any(|p| p.0 == f.id))
+        .collect();
+    assert_eq!(faults.len(), pinned.len());
+    let result = bench::paper_campaign(tb, HardFaultModel::Source)
+        .run(&faults)
+        .expect("nominal simulation succeeds");
+    for (id, at, steps, halvings, newton, lu_before) in pinned {
+        let r = result
+            .records
+            .iter()
+            .find(|r| r.fault.id == id)
+            .expect("pinned fault simulated");
+        match &r.outcome {
+            anafault::FaultOutcome::Detected { at: t, .. } => {
+                assert_eq!(t.to_bits(), at.to_bits(), "fault {id}: detected at {t}")
+            }
+            other => panic!("fault {id}: {other:?}"),
+        }
+        let t = &r.telemetry;
+        assert!(!t.early_stopped, "fault {id} must run full length");
+        assert_eq!((t.steps, t.halvings), (steps, halvings), "fault {id}");
+        assert_eq!(t.newton_iterations, newton, "fault {id}");
+        assert_eq!(r.newton_iterations, newton, "fault {id}");
+        assert!(
+            t.solver.refactorisations < lu_before,
+            "fault {id}: {} refactorisations",
+            t.solver.refactorisations
+        );
+        // Every factorisation is accounted for by an accepted or a
+        // failed iteration (plus one per re-pivot).
+        assert_eq!(t.solver.dense_fallbacks, 0, "fault {id}");
+        assert_eq!(
+            t.solver.refactorisations,
+            t.newton_iterations + t.failed_iterations + t.solver.repivots,
+            "fault {id}: {t:?}"
+        );
+    }
+}
