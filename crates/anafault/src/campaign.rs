@@ -5,7 +5,7 @@
 //! of the kernel simulator, and post-processing (comparison against the
 //! nominal response and statistics). Faults run concurrently on worker
 //! threads — the reproduction of the paper's workstation-cluster
-//! parallel execution [21].
+//! parallel execution \[21\].
 //!
 //! # Quickstart
 //!
@@ -54,6 +54,7 @@
 use crate::coverage::{coverage_curve, final_coverage, DetectionSpec};
 use crate::fault::Fault;
 use crate::inject::{inject, HardFaultModel, InjectError};
+use cat_telemetry::json::Json;
 use cat_telemetry::{HistogramSnapshot, StaticCounter};
 use diagnose::{FaultSignature, SignatureSpec};
 use spice::batch::{run_group, BatchGroup, LaneJob};
@@ -1419,58 +1420,47 @@ impl Default for CampaignReport {
 }
 
 impl CampaignReport {
-    /// Serialises the report as a single JSON object, following the
-    /// same hand-rolled conventions as [`crate::protocol`].
+    /// Serialises the report as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        use cat_telemetry::json::num;
-        let t = &self.telemetry;
-        format!(
-            concat!(
-                "{{\"faults\": {}, \"detected\": {}, \"not_detected\": {}, ",
-                "\"injection_failed\": {}, \"simulation_failed\": {}, ",
-                "\"coverage_percent\": {}, \"wall_seconds\": {}, ",
-                "\"nominal_seconds\": {}, \"fault_sim_seconds\": {}, ",
-                "\"newton_iterations\": {}, \"failed_iterations\": {}, ",
-                "\"steps\": {}, \"halvings\": {}, ",
-                "\"early_stops\": {}, \"batches\": {}, \"batched_faults\": {}, ",
-                "\"lane_compactions\": {}, \"lane_refills\": {}, ",
-                "\"ejections\": {}, \"pattern_builds\": {}, ",
-                "\"pattern_cache_hits\": {}, \"pattern_cache_misses\": {}, ",
-                "\"pattern_cache_entries\": {}, \"refactorisations\": {}, ",
-                "\"repivots\": {}, \"dense_fallbacks\": {}, \"demotions\": {}, ",
-                "\"sim_seconds_distribution\": {}, ",
-                "\"newton_iterations_distribution\": {}}}"
-            ),
-            self.faults,
-            self.detected,
-            self.not_detected,
-            self.injection_failed,
-            self.simulation_failed,
-            num(self.coverage_percent),
-            num(self.wall_seconds),
-            num(self.nominal_seconds),
-            num(self.fault_sim_seconds),
-            self.newton_iterations,
-            self.failed_iterations,
-            self.steps,
-            self.halvings,
-            t.early_stops,
-            t.batches,
-            t.batched_faults,
-            t.lane_compactions,
-            t.lane_refills,
-            t.ejections,
-            t.pattern_cache_misses,
-            t.pattern_cache_hits,
-            t.pattern_cache_misses,
-            t.pattern_cache_entries,
-            self.solver.refactorisations,
-            self.solver.repivots,
-            self.solver.dense_fallbacks,
-            self.solver.demotions,
-            self.sim_seconds.to_json(),
-            self.iterations.to_json(),
-        )
+        Json::from(self).to_string()
+    }
+}
+
+impl From<&CampaignReport> for Json {
+    fn from(r: &CampaignReport) -> Json {
+        let t = &r.telemetry;
+        Json::object([
+            ("faults", r.faults.into()),
+            ("detected", r.detected.into()),
+            ("not_detected", r.not_detected.into()),
+            ("injection_failed", r.injection_failed.into()),
+            ("simulation_failed", r.simulation_failed.into()),
+            ("coverage_percent", r.coverage_percent.into()),
+            ("wall_seconds", r.wall_seconds.into()),
+            ("nominal_seconds", r.nominal_seconds.into()),
+            ("fault_sim_seconds", r.fault_sim_seconds.into()),
+            ("newton_iterations", r.newton_iterations.into()),
+            ("failed_iterations", r.failed_iterations.into()),
+            ("steps", r.steps.into()),
+            ("halvings", r.halvings.into()),
+            ("early_stops", t.early_stops.into()),
+            ("batches", t.batches.into()),
+            ("batched_faults", t.batched_faults.into()),
+            ("lane_compactions", t.lane_compactions.into()),
+            ("lane_refills", t.lane_refills.into()),
+            ("ejections", t.ejections.into()),
+            // Every pattern-cache miss builds one pattern.
+            ("pattern_builds", t.pattern_cache_misses.into()),
+            ("pattern_cache_hits", t.pattern_cache_hits.into()),
+            ("pattern_cache_misses", t.pattern_cache_misses.into()),
+            ("pattern_cache_entries", t.pattern_cache_entries.into()),
+            ("refactorisations", r.solver.refactorisations.into()),
+            ("repivots", r.solver.repivots.into()),
+            ("dense_fallbacks", r.solver.dense_fallbacks.into()),
+            ("demotions", r.solver.demotions.into()),
+            ("sim_seconds_distribution", (&r.sim_seconds).into()),
+            ("newton_iterations_distribution", (&r.iterations).into()),
+        ])
     }
 }
 

@@ -10,7 +10,7 @@
 //!   global shorts, local opens, **split nodes** (a node of order *n*
 //!   becomes two nodes of order *k* and *n−k*) and transistor
 //!   stuck-opens, plus parametric (soft) deviations;
-//! * [`inject`] — rewrites a deep copy of the in-memory netlist per
+//! * [`inject`](mod@inject) — rewrites a deep copy of the in-memory netlist per
 //!   fault, under either the **resistor model** (short = 0.01 Ω,
 //!   open = 100 MΩ) or the **source model** (ideal 0 V / 0 A sources);
 //! * [`campaign`] — the repetitive simulate–compare–log cycle as a

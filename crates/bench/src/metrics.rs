@@ -6,12 +6,13 @@
 //! JSON document is written containing the run's wall-clock, its named
 //! phases, every counter and histogram from the [`cat_telemetry`]
 //! global registry, and (for campaign binaries) the aggregated
-//! [`CampaignReport`]. The document follows the same hand-rolled JSON
-//! conventions as `anafault::protocol` and parses back through
-//! [`anafault::protocol::parse_json`].
+//! [`CampaignReport`]. The document is written by the workspace's one
+//! JSON writer ([`cat_telemetry::json`], document layout: one top-level
+//! member per line, one phase per line) and parses back through
+//! [`cat_telemetry::json::parse_json`].
 
 use anafault::CampaignReport;
-use cat_telemetry::json::{num, quote};
+use cat_telemetry::json::Json;
 use std::time::Instant;
 
 /// Counter keys every run report must contain. Keys the registry has
@@ -203,79 +204,49 @@ pub fn render_report(
     batch: Option<BatchSummary>,
     diagnosis: Option<DiagnosisSummary>,
 ) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": {},\n", quote(REPORT_SCHEMA)));
-    s.push_str(&format!("  \"bench\": {},\n", quote(bench)));
-    s.push_str(&format!("  \"wall_seconds\": {},\n", num(wall_seconds)));
-
-    s.push_str("  \"phases\": [");
-    for (i, (name, seconds)) in phases.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!(
-            "{{\"name\": {}, \"seconds\": {}}}",
-            quote(name),
-            num(*seconds)
-        ));
-    }
-    s.push_str("],\n");
-
+    let phases = phases.iter().map(|(name, seconds)| {
+        Json::object([
+            ("name", name.as_str().into()),
+            ("seconds", (*seconds).into()),
+        ])
+    });
     let mut counters = cat_telemetry::global().counter_values();
     for key in REQUIRED_COUNTERS {
         counters.entry(key.to_string()).or_insert(0);
     }
-    s.push_str("  \"counters\": {");
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("{}: {}", quote(name), value));
-    }
-    s.push_str("},\n");
-
     let histograms = cat_telemetry::global().histogram_snapshots();
-    s.push_str("  \"histograms\": {");
-    for (i, (name, snapshot)) in histograms.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("{}: {}", quote(name), snapshot.to_json()));
-    }
-    s.push_str("},\n");
-
-    match batch {
-        Some(b) => {
-            let speedup = match b.speedup {
-                Some(v) => num(v),
-                None => "null".to_string(),
-            };
-            let agree = match b.verdicts_agree {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "  \"batch\": {{\"width\": {}, \"speedup\": {}, \"verdicts_agree\": {}}},\n",
-                b.width, speedup, agree
-            ));
-        }
-        None => s.push_str("  \"batch\": null,\n"),
-    }
-
-    match diagnosis {
-        Some(d) => s.push_str(&format!(
-            "  \"diagnosis\": {{\"entries\": {}, \"classes\": {}, \"queries\": {}, \
-             \"top1\": {}, \"top3\": {}}},\n",
-            d.entries, d.classes, d.queries, d.top1, d.top3
-        )),
-        None => s.push_str("  \"diagnosis\": null,\n"),
-    }
-
-    match campaign {
-        Some(report) => s.push_str(&format!("  \"campaign\": {}\n", report.to_json())),
-        None => s.push_str("  \"campaign\": null\n"),
-    }
-    s.push_str("}\n");
-    s
+    let batch = batch.map(|b| {
+        Json::object([
+            ("width", b.width.into()),
+            ("speedup", b.speedup.into()),
+            ("verdicts_agree", b.verdicts_agree.into()),
+        ])
+    });
+    let diagnosis = diagnosis.map(|d| {
+        Json::object([
+            ("entries", d.entries.into()),
+            ("classes", d.classes.into()),
+            ("queries", d.queries.into()),
+            ("top1", d.top1.into()),
+            ("top3", d.top3.into()),
+        ])
+    });
+    Json::object([
+        ("schema", REPORT_SCHEMA.into()),
+        ("bench", bench.into()),
+        ("wall_seconds", wall_seconds.into()),
+        ("phases", phases.collect()),
+        (
+            "counters",
+            Json::object(counters.into_iter().map(|(k, v)| (k, v.into()))),
+        ),
+        (
+            "histograms",
+            Json::object(histograms.iter().map(|(k, h)| (k.as_str(), h.into()))),
+        ),
+        ("batch", batch.into()),
+        ("diagnosis", diagnosis.into()),
+        ("campaign", campaign.map(Json::from).into()),
+    ])
+    .to_document()
 }

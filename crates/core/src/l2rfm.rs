@@ -1,4 +1,4 @@
-//! L²RFM — Local Layout Realistic Faults Mapping (paper ref [18]).
+//! L²RFM — Local Layout Realistic Faults Mapping (paper ref \[18\]).
 //!
 //! Before the final layout exists, the schematic-complete fault list
 //! can already be thinned using *element-local* layout knowledge: each

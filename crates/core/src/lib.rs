@@ -14,7 +14,7 @@
 //! * [`funnel`] — the Fig. 1 fault-list funnel: *all faults* →
 //!   L²RFM → GLRFM, with the list size at each stage;
 //! * [`l2rfm`] — the pre-layout "Local Layout Realistic Faults
-//!   Mapping" stage (paper ref [18]): per-element realistic fault
+//!   Mapping" stage (paper ref \[18\]): per-element realistic fault
 //!   patterns derived from representative single-element layouts,
 //!   applied to the schematic before the real layout exists.
 

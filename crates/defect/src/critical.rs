@@ -2,7 +2,7 @@
 //!
 //! The critical area `A_c(x)` of a failure for defect diameter `x` is
 //! the area of defect-centre positions that cause the failure
-//! (Stapper, paper ref [28]). The quantity LIFT needs is the
+//! (Stapper, paper ref \[28\]). The quantity LIFT needs is the
 //! size-weighted average `A̅ = ∫ A_c(x)·f(x) dx` with `f` the defect
 //! size pdf: `p_j = density · A̅` is then the expected number of
 //! occurrences of fault `j` per die, used as its probability ranking.

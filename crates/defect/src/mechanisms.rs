@@ -8,7 +8,7 @@
 
 use layout::Layer;
 
-/// Metal-1 short defect density: 1 defect/cm² (paper §IV, ref [9]),
+/// Metal-1 short defect density: 1 defect/cm² (paper §IV, ref \[9\]),
 /// expressed per nm².
 pub const METAL1_SHORT_DENSITY_PER_NM2: f64 = 1e-14;
 

@@ -1,7 +1,7 @@
 //! Monte Carlo spot-defect injection.
 //!
 //! The original inductive-fault-analysis flow (Shen/Maly/Ferguson, paper
-//! ref [25]) throws random defects at the layout and records which ones
+//! ref \[25\]) throws random defects at the layout and records which ones
 //! change circuit topology. This module provides that sampler; LIFT's
 //! analytic critical areas are cross-validated against it, and the
 //! examples use it to visualise defect sensitivity.

@@ -1,6 +1,6 @@
 //! The defect-size probability density.
 //!
-//! Following Ferris-Prabhu (paper ref [10]), spot-defect diameters obey
+//! Following Ferris-Prabhu (paper ref \[10\]), spot-defect diameters obey
 //! `f(x) = 2·x₀²/x³` for `x ≥ x₀`: defects at the lithographic
 //! resolution limit dominate and the density falls off with the cube of
 //! the size. The distribution is normalised on `[x₀, ∞)`; an upper

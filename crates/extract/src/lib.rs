@@ -1,7 +1,7 @@
 //! # extract — transistor-level circuit extraction from layout
 //!
 //! LIFT performs fault extraction *simultaneously with* transistor-level
-//! circuit extraction (paper §IV, ref [29]). This crate is the circuit
+//! circuit extraction (paper §IV, ref \[29\]). This crate is the circuit
 //! half of that pairing:
 //!
 //! * [`connectivity`] labels nets: union-find over same-layer shape

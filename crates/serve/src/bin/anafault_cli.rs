@@ -139,15 +139,6 @@ fn write_out(out: &Option<String>, text: &str) -> Result<(), String> {
     }
 }
 
-fn field(body: &str, key: &str) -> Option<String> {
-    // Responses are flat single-level objects; a quoted-string scan is
-    // enough to pull one field without a full parser here.
-    let marker = format!("\"{key}\": \"");
-    let start = body.find(&marker)? + marker.len();
-    let end = body[start..].find('"')?;
-    Some(body[start..start + end].to_string())
-}
-
 fn submit(addr: &str, spec_path: &str) -> Result<String, String> {
     let spec = load_spec(spec_path)?;
     let (status, body) = http::request(addr, "POST", "/campaigns", Some(&spec.to_json()))
@@ -155,7 +146,10 @@ fn submit(addr: &str, spec_path: &str) -> Result<String, String> {
     if status != 201 {
         return Err(format!("submit rejected ({status}): {}", body.trim()));
     }
-    field(&body, "id").ok_or_else(|| format!("no campaign id in response: {}", body.trim()))
+    let id = protocol::parse_json(&body)
+        .ok()
+        .and_then(|doc| Some(doc.get("id")?.as_str().ok()?.to_string()));
+    id.ok_or_else(|| format!("no campaign id in response: {}", body.trim()))
 }
 
 /// Streams events, echoing each line, and returns the final result if

@@ -27,7 +27,7 @@ use crate::state::{CampaignPhase, EventLog};
 use anafault::campaign::CampaignProgress;
 use anafault::protocol::{self, CampaignSpec};
 use anafault::{Fault, FaultRecord, PreparedCampaign};
-use cat_telemetry::json::quote;
+use cat_telemetry::json::Json;
 use diagnose::Diagnoser;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
@@ -113,20 +113,41 @@ impl CampaignRun {
         self.progress.lock().expect("progress poisoned").completed
     }
 
-    /// One-line status document for listings and `GET /campaigns/<id>`.
-    fn status_json(&self) -> String {
-        format!(
-            "{{\"id\": {}, \"phase\": {}, \"completed\": {}, \"total\": {}, \
-             \"replayed_faults\": {}, \"resumed\": {}, \"client\": {}}}",
-            quote(&self.id),
-            quote(self.phase().as_str()),
-            self.completed(),
-            self.faults.len(),
-            self.replayed,
-            self.resumed,
-            quote(&self.client)
-        )
+    /// Status object for listings and `GET /campaigns/<id>`.
+    fn status_json(&self) -> Json {
+        Json::object([
+            ("id", self.id.as_str().into()),
+            ("phase", self.phase().as_str().into()),
+            ("completed", self.completed().into()),
+            ("total", self.faults.len().into()),
+            ("replayed_faults", self.replayed.into()),
+            ("resumed", self.resumed.into()),
+            ("client", self.client.as_str().into()),
+        ])
     }
+
+    /// The 409 body for reads of a campaign that has not finished.
+    fn still_running_body(&self) -> String {
+        json_line(Json::object([
+            ("error", "campaign still running".into()),
+            ("completed", self.completed().into()),
+            ("total", self.faults.len().into()),
+        ]))
+    }
+}
+
+/// A response body: one compact JSON line.
+fn json_line(value: Json) -> String {
+    format!("{value}\n")
+}
+
+fn error_body(message: &str) -> String {
+    json_line(Json::object([("error", message.into())]))
+}
+
+/// Status object of a campaign known only from its result file.
+fn done_json(id: &str) -> Json {
+    Json::object([("id", id.into()), ("phase", "done".into())])
 }
 
 /// Quotas reserved at admission, released when a campaign finishes.
@@ -565,8 +586,7 @@ impl Inner {
             Ok(Some(request)) => request,
             Ok(None) => return Ok(()),
             Err(e) => {
-                let body = format!("{{\"error\": {}}}\n", quote(&e.to_string()));
-                return http::respond_json(&mut writer, 400, &body);
+                return http::respond_json(&mut writer, 400, &error_body(&e.to_string()));
             }
         };
         crate::SERVE_REQUESTS.inc();
@@ -576,7 +596,9 @@ impl Inner {
     fn route(self: &Arc<Self>, request: &Request, out: &mut TcpStream) -> io::Result<()> {
         let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
         match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => http::respond_json(out, 200, "{\"ok\": true}\n"),
+            ("GET", ["healthz"]) => {
+                http::respond_json(out, 200, &json_line(Json::object([("ok", true.into())])))
+            }
             ("GET", ["metrics"]) => self.metrics(out),
             ("POST", ["campaigns"]) => self.submit(&request.body, out),
             ("GET", ["campaigns"]) => self.list(out),
@@ -586,39 +608,27 @@ impl Inner {
             ("POST", ["campaigns", id, "dictionary"]) => self.build_dict(id, out),
             ("POST", ["diagnose"]) => self.diagnose(&request.body, out),
             (_, ["healthz" | "metrics" | "campaigns" | "diagnose", ..]) => {
-                http::respond_json(out, 405, "{\"error\": \"method not allowed\"}\n")
+                http::respond_json(out, 405, &error_body("method not allowed"))
             }
-            _ => http::respond_json(out, 404, "{\"error\": \"no such endpoint\"}\n"),
+            _ => http::respond_json(out, 404, &error_body("no such endpoint")),
         }
     }
 
     fn metrics(&self, out: &mut TcpStream) -> io::Result<()> {
         let values = cat_telemetry::global().counter_values();
-        let mut body = String::from("{\n");
-        let n = values.len();
-        for (i, (name, value)) in values.into_iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            body.push_str(&format!("  {}: {value}{comma}\n", quote(&name)));
-        }
-        body.push_str("}\n");
-        http::respond_json(out, 200, &body)
+        let doc = Json::object(values.into_iter().map(|(name, value)| (name, value.into())));
+        http::respond_json(out, 200, &doc.to_document())
     }
 
     fn submit(self: &Arc<Self>, body: &str, out: &mut TcpStream) -> io::Result<()> {
         let mut spec = match CampaignSpec::from_json(body) {
             Ok(spec) => spec,
-            Err(e) => {
-                let body = format!("{{\"error\": {}}}\n", quote(&e.to_string()));
-                return http::respond_json(out, 400, &body);
-            }
+            Err(e) => return http::respond_json(out, 400, &error_body(&e.to_string())),
         };
         if let Some(tag) = &spec.client {
             if !valid_client_tag(tag) {
-                return http::respond_json(
-                    out,
-                    422,
-                    "{\"error\": \"client tag must be 1-64 printable ASCII bytes\"}\n",
-                );
+                let message = "client tag must be 1-64 printable ASCII bytes";
+                return http::respond_json(out, 422, &error_body(message));
             }
         }
         // Dedup before the spec is persisted, so a resume of this
@@ -627,8 +637,7 @@ impl Inner {
         let client = spec.client.clone().unwrap_or_default();
         let budgeted = anafault::apply_budget(spec.max_faults, &spec.faults).len();
         if let Err(reason) = self.try_reserve_quota(&client, budgeted) {
-            let body = format!("{{\"error\": {}}}\n", quote(&reason));
-            return http::respond_json(out, 429, &body);
+            return http::respond_json(out, 429, &error_body(&reason));
         }
         let id = format!("c{}", self.next_id.fetch_add(1, Ordering::Relaxed));
         let admitted = (|| -> Result<Arc<CampaignRun>, String> {
@@ -651,26 +660,24 @@ impl Inner {
         })();
         match admitted {
             Ok(run) => {
-                let body = format!(
-                    "{{\"id\": {}, \"total\": {}}}\n",
-                    quote(&run.id),
-                    run.faults.len()
-                );
-                http::respond_json(out, 201, &body)
+                let created = Json::object([
+                    ("id", run.id.as_str().into()),
+                    ("total", run.faults.len().into()),
+                ]);
+                http::respond_json(out, 201, &json_line(created))
             }
             Err(reason) => {
                 self.release_quota(&client, budgeted);
                 fs::remove_file(self.spec_path(&id)).ok();
                 fs::remove_file(self.checkpoint_path(&id)).ok();
-                let body = format!("{{\"error\": {}}}\n", quote(&reason));
-                http::respond_json(out, 422, &body)
+                http::respond_json(out, 422, &error_body(&reason))
             }
         }
     }
 
     fn list(&self, out: &mut TcpStream) -> io::Result<()> {
         let campaigns = self.campaigns.lock().expect("campaigns poisoned");
-        let mut entries: Vec<String> = campaigns.values().map(|run| run.status_json()).collect();
+        let mut entries: Vec<Json> = campaigns.values().map(|run| run.status_json()).collect();
         // Campaigns finished in an earlier daemon life exist only on
         // disk; list them as done.
         if let Ok(dir) = fs::read_dir(&self.config.state_dir) {
@@ -681,13 +688,13 @@ impl Inner {
                     continue;
                 };
                 if !campaigns.contains_key(id) {
-                    entries.push(format!("{{\"id\": {}, \"phase\": \"done\"}}", quote(id)));
+                    entries.push(done_json(id));
                 }
             }
         }
         drop(campaigns);
-        let body = format!("{{\"campaigns\": [{}]}}\n", entries.join(", "));
-        http::respond_json(out, 200, &body)
+        let listing = Json::object([("campaigns", Json::Array(entries))]);
+        http::respond_json(out, 200, &json_line(listing))
     }
 
     fn find(&self, id: &str) -> Option<Arc<CampaignRun>> {
@@ -700,14 +707,12 @@ impl Inner {
 
     fn status(&self, id: &str, out: &mut TcpStream) -> io::Result<()> {
         if let Some(run) = self.find(id) {
-            let body = format!("{}\n", run.status_json());
-            return http::respond_json(out, 200, &body);
+            return http::respond_json(out, 200, &json_line(run.status_json()));
         }
         if self.result_path(id).exists() {
-            let body = format!("{{\"id\": {}, \"phase\": \"done\"}}\n", quote(id));
-            return http::respond_json(out, 200, &body);
+            return http::respond_json(out, 200, &json_line(done_json(id)));
         }
-        http::respond_json(out, 404, "{\"error\": \"no such campaign\"}\n")
+        http::respond_json(out, 404, &error_body("no such campaign"))
     }
 
     fn events(&self, id: &str, out: &mut TcpStream) -> io::Result<()> {
@@ -730,7 +735,7 @@ impl Inner {
         let result_text = match fs::read_to_string(self.result_path(id)) {
             Ok(text) => text,
             Err(_) => {
-                return http::respond_json(out, 404, "{\"error\": \"no such campaign\"}\n");
+                return http::respond_json(out, 404, &error_body("no such campaign"));
             }
         };
         let result = protocol::from_json(&result_text)
@@ -756,17 +761,12 @@ impl Inner {
     fn result(&self, id: &str, out: &mut TcpStream) -> io::Result<()> {
         if let Some(run) = self.find(id) {
             if run.phase() != CampaignPhase::Done {
-                let body = format!(
-                    "{{\"error\": \"campaign still running\", \"completed\": {}, \"total\": {}}}\n",
-                    run.completed(),
-                    run.faults.len()
-                );
-                return http::respond_json(out, 409, &body);
+                return http::respond_json(out, 409, &run.still_running_body());
             }
         }
         match fs::read_to_string(self.result_path(id)) {
             Ok(text) => http::respond_json(out, 200, &text),
-            Err(_) => http::respond_json(out, 404, "{\"error\": \"no such campaign\"}\n"),
+            Err(_) => http::respond_json(out, 404, &error_body("no such campaign")),
         }
     }
 
@@ -776,18 +776,13 @@ impl Inner {
     fn build_dict(&self, id: &str, out: &mut TcpStream) -> io::Result<()> {
         if let Some(run) = self.find(id) {
             if run.phase() != CampaignPhase::Done {
-                let body = format!(
-                    "{{\"error\": \"campaign still running\", \"completed\": {}, \"total\": {}}}\n",
-                    run.completed(),
-                    run.faults.len()
-                );
-                return http::respond_json(out, 409, &body);
+                return http::respond_json(out, 409, &run.still_running_body());
             }
         }
         let text = match fs::read_to_string(self.result_path(id)) {
             Ok(text) => text,
             Err(_) => {
-                return http::respond_json(out, 404, "{\"error\": \"no such campaign\"}\n");
+                return http::respond_json(out, 404, &error_body("no such campaign"));
             }
         };
         let result = protocol::from_json(&text)
@@ -795,8 +790,7 @@ impl Inner {
         let dict = match anafault::build_dictionary(&result) {
             Ok(dict) => dict,
             Err(e) => {
-                let body = format!("{{\"error\": {}}}\n", quote(&e.to_string()));
-                return http::respond_json(out, 422, &body);
+                return http::respond_json(out, 422, &error_body(&e.to_string()));
             }
         };
         let doc = protocol::dictionary_to_json(&dict);
@@ -804,8 +798,7 @@ impl Inner {
         let written = fs::write(&tmp, &doc).and_then(|()| fs::rename(&tmp, self.dict_path(id)));
         if let Err(e) = written {
             eprintln!("anafault-serve: dictionary write failed for {id}: {e}");
-            let body = format!("{{\"error\": {}}}\n", quote(&e.to_string()));
-            return http::respond_json(out, 500, &body);
+            return http::respond_json(out, 500, &error_body(&e.to_string()));
         }
         http::respond_json(out, 201, &doc)
     }
@@ -816,19 +809,13 @@ impl Inner {
     fn diagnose(&self, body: &str, out: &mut TcpStream) -> io::Result<()> {
         let request = match protocol::DiagnoseRequest::from_json(body) {
             Ok(request) => request,
-            Err(e) => {
-                let body = format!("{{\"error\": {}}}\n", quote(&e.to_string()));
-                return http::respond_json(out, 400, &body);
-            }
+            Err(e) => return http::respond_json(out, 400, &error_body(&e.to_string())),
         };
         let text = match fs::read_to_string(self.dict_path(&request.campaign)) {
             Ok(text) => text,
             Err(_) => {
-                return http::respond_json(
-                    out,
-                    404,
-                    "{\"error\": \"no dictionary for campaign; POST /campaigns/<id>/dictionary first\"}\n",
-                );
+                let message = "no dictionary for campaign; POST /campaigns/<id>/dictionary first";
+                return http::respond_json(out, 404, &error_body(message));
             }
         };
         let dict = protocol::dictionary_from_json(&text)
@@ -836,8 +823,7 @@ impl Inner {
         let ranked = match Diagnoser::new(&dict).rank(&request.waves) {
             Ok(ranked) => ranked,
             Err(e) => {
-                let body = format!("{{\"error\": {}}}\n", quote(&e.to_string()));
-                return http::respond_json(out, 422, &body);
+                return http::respond_json(out, 422, &error_body(&e.to_string()));
             }
         };
         let mut stream = ChunkedStream::start(out)?;

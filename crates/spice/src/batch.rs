@@ -26,7 +26,7 @@
 //!   their pivot reciprocals — zeros propagate harmlessly, NaNs would
 //!   not.
 //! * [`run_group`] — a batched transient driver mirroring
-//!   [`crate::tran`]: shared drift-free grid, per-lane Newton
+//!   [`crate::tran()`]: shared drift-free grid, per-lane Newton
 //!   convergence masks (a converged lane's iterate is latched so its
 //!   trajectory is independent of its batch-mates), per-lane damped
 //!   retry, and lane compaction — a lane whose sample callback stops

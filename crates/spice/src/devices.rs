@@ -1,7 +1,7 @@
 //! Device evaluation and MNA stamping.
 //!
 //! One function, [`stamp_all`], loads the whole circuit into an
-//! [`MnaSystem`] for a single Newton iteration, linearising nonlinear
+//! [`MnaSystem`](crate::mna::MnaSystem) for a single Newton iteration, linearising nonlinear
 //! devices about the current solution estimate.
 
 use crate::mna::Stamper;

@@ -11,7 +11,7 @@
 //! * a SPICE-netlist text parser ([`parser`]);
 //! * Newton–Raphson DC operating point with gmin and source stepping
 //!   ([`dcop`]);
-//! * backward-Euler / trapezoidal transient analysis ([`tran`]);
+//! * backward-Euler / trapezoidal transient analysis ([`tran`](mod@tran));
 //! * device models: resistor, capacitor, independent V/I sources
 //!   (DC/PULSE/SIN/PWL) and the Shichman–Hodges MOS level-1 model with
 //!   body effect and channel-length modulation ([`devices`]);

@@ -165,7 +165,7 @@ impl MnaSystem {
     /// the solution vector.
     ///
     /// Singularity is judged *relative to each column's original
-    /// scale* ([`REL_PIVOT_TOL`]): a column whose best pivot collapses
+    /// scale* (`REL_PIVOT_TOL`): a column whose best pivot collapses
     /// by thirteen decades against its own entries is dependent for any
     /// practical purpose, while a tiny-but-consistent column (a badly
     /// scaled yet solvable system) factors normally.

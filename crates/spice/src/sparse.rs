@@ -725,7 +725,7 @@ impl SparseSystem {
 
     /// Numeric-only refactorisation + solve over the frozen structure,
     /// re-pivoting from the current values when a pivot dies relative
-    /// to its row scale ([`REL_PIVOT_TOL`]). Assembled values and the
+    /// to its row scale (`REL_PIVOT_TOL`). Assembled values and the
     /// right-hand side are left intact, so the dense fallback can
     /// re-solve the identical system.
     ///
@@ -1052,7 +1052,7 @@ impl MnaSolver {
     /// frozen plan and a fresh numeric re-pivot failing, solve after
     /// solve) is paying a failed refactor plus an O(n³) re-pivot
     /// attempt plus the dense solve every iteration — after
-    /// [`DEMOTE_AFTER_FALLBACKS`] consecutive rescues the solver
+    /// `DEMOTE_AFTER_FALLBACKS` consecutive rescues the solver
     /// demotes itself to plain dense for the rest of the analysis.
     ///
     /// # Errors

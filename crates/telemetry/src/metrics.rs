@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::json;
+use crate::json::{Json, ProtocolError};
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -165,15 +165,47 @@ impl HistogramSnapshot {
     /// JSON object with `edges`, `counts`, `count`, `sum`, `min`,
     /// `max` (min/max are `null` while empty — they are infinities).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"edges\": {}, \"counts\": {}, \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-            json::num_array(&self.edges),
-            json::uint_array(&self.counts),
-            self.count,
-            json::num(self.sum),
-            json::num(self.min),
-            json::num(self.max),
-        )
+        Json::from(self).to_string()
+    }
+}
+
+impl From<&HistogramSnapshot> for Json {
+    fn from(h: &HistogramSnapshot) -> Json {
+        Json::object([
+            ("edges", h.edges.as_slice().into()),
+            ("counts", h.counts.as_slice().into()),
+            ("count", h.count.into()),
+            ("sum", h.sum.into()),
+            ("min", h.min.into()),
+            ("max", h.max.into()),
+        ])
+    }
+}
+
+/// Reads the object written by [`HistogramSnapshot::to_json`]; a
+/// `null` min/max reads back as the infinity an empty histogram holds.
+impl TryFrom<&Json> for HistogramSnapshot {
+    type Error = ProtocolError;
+
+    fn try_from(v: &Json) -> Result<HistogramSnapshot, ProtocolError> {
+        let bound = |key: &str, empty: f64| match v.field(key)? {
+            Json::Null => Ok(empty),
+            x => x.as_f64(),
+        };
+        let snapshot = HistogramSnapshot {
+            edges: v.field("edges")?.as_f64_array()?,
+            counts: v.field("counts")?.map_array(Json::as_u64)?,
+            count: v.field("count")?.as_u64()?,
+            sum: v.field("sum")?.as_f64()?,
+            min: bound("min", f64::INFINITY)?,
+            max: bound("max", f64::NEG_INFINITY)?,
+        };
+        if snapshot.counts.len() != snapshot.edges.len() + 1 {
+            return Err(ProtocolError::Schema(
+                "histogram needs one count per edge plus the overflow bucket".into(),
+            ));
+        }
+        Ok(snapshot)
     }
 }
 
@@ -336,6 +368,24 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         // min/max serialize as null while empty.
         assert!(s.to_json().contains("\"min\": null"));
+    }
+
+    #[test]
+    fn snapshots_round_trip_through_json() {
+        let h = Histogram::new(&[1.0, 10.0]);
+        for v in [0.5, 2.0, 50.0] {
+            h.record(v);
+        }
+        for s in [h.snapshot(), HistogramSnapshot::empty(&[1.0])] {
+            let back = crate::json::parse_json(&s.to_json()).unwrap();
+            assert_eq!(HistogramSnapshot::try_from(&back).unwrap(), s);
+        }
+        let bad = crate::json::parse_json(
+            "{\"edges\": [1.0], \"counts\": [1], \"count\": 1, \
+             \"sum\": 1.0, \"min\": 1.0, \"max\": 1.0}",
+        )
+        .unwrap();
+        assert!(HistogramSnapshot::try_from(&bad).is_err());
     }
 
     #[test]

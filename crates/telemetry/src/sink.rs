@@ -1,12 +1,11 @@
 //! NDJSON event sink: telemetry events serialized one JSON object
-//! per line, in the same hand-rolled writer style as
-//! `anafault::protocol` (shortest round-trip floats, non-finite →
-//! `null`). Install a sink with [`set_sink`]; nothing is emitted
-//! while telemetry is disabled or no sink is installed.
+//! per line through the workspace's one JSON writer
+//! ([`crate::json`]). Install a sink with [`set_sink`]; nothing is
+//! emitted while telemetry is disabled or no sink is installed.
 
 use std::sync::{Arc, Mutex};
 
-use crate::json::{num, num_array, quote, uint_array};
+use crate::json::{parse_json, Json, ProtocolError};
 use crate::metrics::{HistogramSnapshot, Registry};
 
 /// One telemetry event. Each variant serializes to a single NDJSON
@@ -31,35 +30,56 @@ pub enum Event {
 impl Event {
     /// One line of NDJSON (no trailing newline).
     pub fn to_ndjson(&self) -> String {
-        match self {
+        let (kind, name, fields) = match self {
             Event::Counter { name, value } => {
-                format!(
-                    "{{\"type\": \"counter\", \"name\": {}, \"value\": {}}}",
-                    quote(name),
-                    value
-                )
+                ("counter", name, Json::object([("value", (*value).into())]))
             }
-            Event::Histogram { name, snapshot } => format!(
-                "{{\"type\": \"histogram\", \"name\": {}, \"edges\": {}, \"counts\": {}, \
-                 \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                quote(name),
-                num_array(&snapshot.edges),
-                uint_array(&snapshot.counts),
-                snapshot.count,
-                num(snapshot.sum),
-                num(snapshot.min),
-                num(snapshot.max),
-            ),
+            Event::Histogram { name, snapshot } => ("histogram", name, snapshot.into()),
             Event::Span {
                 name,
                 seconds,
                 depth,
-            } => format!(
-                "{{\"type\": \"span\", \"name\": {}, \"seconds\": {}, \"depth\": {}}}",
-                quote(name),
-                num(*seconds),
-                depth
+            } => (
+                "span",
+                name,
+                Json::object([("seconds", (*seconds).into()), ("depth", (*depth).into())]),
             ),
+        };
+        let mut members = vec![
+            ("type".into(), kind.into()),
+            ("name".into(), name.as_str().into()),
+        ];
+        if let Json::Object(fields) = fields {
+            members.extend(fields);
+        }
+        Json::Object(members).to_string()
+    }
+
+    /// Parses one line written by [`Event::to_ndjson`].
+    ///
+    /// # Errors
+    /// [`ProtocolError::Parse`] on malformed JSON,
+    /// [`ProtocolError::Schema`] on an unknown `type` or a missing field.
+    pub fn from_ndjson(line: &str) -> Result<Event, ProtocolError> {
+        let doc = parse_json(line)?;
+        let name = doc.field("name")?.as_str()?.to_string();
+        match doc.field("type")?.as_str()? {
+            "counter" => Ok(Event::Counter {
+                name,
+                value: doc.field("value")?.as_u64()?,
+            }),
+            "histogram" => Ok(Event::Histogram {
+                name,
+                snapshot: HistogramSnapshot::try_from(&doc)?,
+            }),
+            "span" => Ok(Event::Span {
+                name,
+                seconds: doc.field("seconds")?.as_f64()?,
+                depth: doc.field("depth")?.as_u64()?,
+            }),
+            kind => Err(ProtocolError::Schema(format!(
+                "unknown event type `{kind}`"
+            ))),
         }
     }
 }
@@ -148,7 +168,7 @@ mod tests {
             },
         };
         let line = h.to_ndjson();
-        assert!(line.contains("\"edges\": [1]") && line.contains("\"counts\": [2, 0]"));
+        assert!(line.contains("\"edges\": [1.0]") && line.contains("\"counts\": [2, 0]"));
         assert!(!line.contains('\n'));
         let s = Event::Span {
             name: "t".into(),
@@ -156,6 +176,13 @@ mod tests {
             depth: 1,
         };
         assert!(s.to_ndjson().ends_with("\"seconds\": 0.5, \"depth\": 1}"));
+        for event in [c, h, s] {
+            assert_eq!(Event::from_ndjson(&event.to_ndjson()).unwrap(), event);
+        }
+        assert!(matches!(
+            Event::from_ndjson("{\"type\": \"gauge\", \"name\": \"g\"}"),
+            Err(ProtocolError::Schema(_))
+        ));
     }
 
     #[test]
