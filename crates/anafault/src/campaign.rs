@@ -53,12 +53,10 @@
 
 use crate::coverage::{coverage_curve, final_coverage, DetectionSpec};
 use crate::fault::Fault;
-use crate::inject::{inject, HardFaultModel, InjectError};
+use crate::inject::{inject, HardFaultModel};
 use cat_telemetry::json::Json;
 use cat_telemetry::{HistogramSnapshot, StaticCounter};
 use diagnose::{FaultSignature, SignatureSpec};
-use spice::batch::{run_group, BatchGroup, LaneJob};
-use spice::devices::UnknownMap;
 use spice::tran::{tran_with_cached, TranSpec, TranStats};
 use spice::{Circuit, PatternCache, SolverStats, SpiceError, Wave};
 use std::collections::BTreeMap;
@@ -66,39 +64,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// How a session schedules faults onto the kernel simulator.
+/// The former batch-scheduling switch of [`CampaignBuilder::batch`].
+/// It is inert: every session runs one scalar transient per fault on
+/// the worker pool. `Auto` only turns fault dropping on, as batched
+/// sessions always did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
-    /// One scalar transient per fault (the default).
+    /// No effect (the default).
     #[default]
     Off,
-    /// Lockstep batches at [`DEFAULT_BATCH_WIDTH`] lanes.
+    /// Fault dropping, as [`CampaignBuilder::early_stop`]`(true)`.
     Auto,
-    /// Lockstep batches at an explicit lane width (clamped to ≥ 1).
-    Width(usize),
-}
-
-/// Lane width chosen by [`BatchMode::Auto`]. Eight lanes keep the
-/// lane-major value rows inside one or two cache lines per slot while
-/// giving the compactor enough room to retire detected faults early.
-pub const DEFAULT_BATCH_WIDTH: usize = 8;
-
-/// Splits a batch's wall-clock time across its lanes proportionally to
-/// the Newton iterations each lane consumed (equal split when no lane
-/// did any work). The shares sum back to `total` up to float rounding,
-/// so per-fault accounting stays comparable with scalar campaigns.
-pub fn share_wall(total: Duration, iterations: &[u64]) -> Vec<Duration> {
-    if iterations.is_empty() {
-        return Vec::new();
-    }
-    let sum: u64 = iterations.iter().sum();
-    if sum == 0 {
-        return vec![total / iterations.len() as u32; iterations.len()];
-    }
-    iterations
-        .iter()
-        .map(|&it| total.mul_f64(it as f64 / sum as f64))
-        .collect()
 }
 
 /// What happened to one fault during the campaign.
@@ -137,20 +113,15 @@ pub struct FaultTelemetry {
     /// Accepted Newton solves across the whole transient.
     pub newton_iterations: u64,
     /// Newton iterations of failed attempts — discarded work that
-    /// `newton_iterations` leaves out ([`TranStats::failed_iterations`];
-    /// for a lockstep lane, [`spice::LaneReport::failed_iterations`]).
+    /// `newton_iterations` leaves out ([`TranStats::failed_iterations`]).
     pub failed_iterations: u64,
     /// Sparse-solver work counters (refactorisations, re-pivots,
     /// dense fallbacks, demotions).
     pub solver: SolverStats,
     /// Whether fault dropping abandoned the remaining simulation time.
     pub early_stopped: bool,
-    /// Lane width of the batched run that produced this record; 0 for
-    /// scalar simulations (including batch-mode scalar fallbacks).
-    pub batch_width: u32,
-    /// The lockstep kernel ejected this fault's lane; the verdict comes
-    /// from the scalar re-run and `wall` includes the wasted share of
-    /// the batch.
+    /// Always `false`: set by the removed lockstep batch engine when it
+    /// re-ran a fault scalar. Kept so the field stays on the wire.
     pub ejected: bool,
 }
 
@@ -166,7 +137,6 @@ impl FaultTelemetry {
             failed_iterations: stats.failed_iterations,
             solver: stats.solver,
             early_stopped: false,
-            batch_width: 0,
             ejected: false,
         }
     }
@@ -233,7 +203,6 @@ pub struct CampaignBuilder {
     threads: usize,
     max_faults: Option<usize>,
     early_stop: bool,
-    batch: BatchMode,
     record_signatures: bool,
 }
 
@@ -315,25 +284,24 @@ impl CampaignBuilder {
         self
     }
 
-    /// Batched scheduling: stamp-compatible faults are packed into
-    /// lockstep lanes over one shared matrix structure
-    /// ([`spice::batch`]). Batched sessions always simulate with fault
-    /// dropping — compacting a detected lane is where the speedup comes
-    /// from — so verdicts match a scalar `early_stop(true)` run; lanes
-    /// the lockstep kernel cannot finish are re-run through the scalar
-    /// path. Default: [`BatchMode::Off`].
-    pub fn batch(mut self, mode: BatchMode) -> Self {
-        self.batch = mode;
-        self
+    /// The former batch-scheduling switch, kept for existing callers.
+    /// Every session runs the one scalar worker pool; [`BatchMode::Auto`]
+    /// turns fault dropping on ([`CampaignBuilder::early_stop`]), as
+    /// batched sessions always dropped faults, and [`BatchMode::Off`]
+    /// changes nothing.
+    pub fn batch(self, mode: BatchMode) -> Self {
+        match mode {
+            BatchMode::Off => self,
+            BatchMode::Auto => self.early_stop(true),
+        }
     }
 
     /// Diagnosis signature recording: when `true`, every successfully
     /// simulated fault's record carries a [`FaultSignature`] — the
     /// resampled deviation trajectory per observed node — so the
     /// campaign result can seed a fault dictionary. Recording needs the
-    /// complete faulty waveform, so it forces full-length scalar
-    /// simulation: fault dropping and batched scheduling are bypassed
-    /// for the session. Default `false`.
+    /// complete faulty waveform, so it forces full-length simulation:
+    /// fault dropping is bypassed for the session. Default `false`.
     pub fn record_signatures(mut self, on: bool) -> Self {
         self.record_signatures = on;
         self
@@ -359,7 +327,6 @@ impl CampaignBuilder {
             threads: self.threads,
             max_faults: self.max_faults,
             early_stop: self.early_stop,
-            batch: self.batch,
             record_signatures: self.record_signatures,
         })
     }
@@ -378,7 +345,6 @@ pub struct Campaign {
     threads: usize,
     max_faults: Option<usize>,
     early_stop: bool,
-    batch: BatchMode,
     record_signatures: bool,
 }
 
@@ -419,16 +385,13 @@ pub struct CampaignTelemetry {
     pub pattern_cache_entries: usize,
     /// Faults whose remaining simulation time was dropped on detection.
     pub early_stops: u64,
-    /// Lockstep group runs launched by the batched scheduler.
+    /// Always 0: lockstep group runs of the removed batch engine. This
+    /// and the next two fields are kept so they stay on the wire.
     pub batches: u64,
-    /// Faults whose verdict came from the lockstep kernel (the rest of
-    /// a batched session ran through the scalar fallback).
+    /// Always 0: faults whose verdict came from the removed lockstep
+    /// kernel.
     pub batched_faults: u64,
-    /// Lanes retired before the end of the shared time grid.
-    pub lane_compactions: u64,
-    /// Lanes started from the pending queue after a slot freed up.
-    pub lane_refills: u64,
-    /// Lanes ejected from the lockstep kernel to the scalar path.
+    /// Always 0: lanes the removed lockstep kernel re-ran scalar.
     pub ejections: u64,
     /// Faults whose record was replayed from a checkpoint instead of
     /// being re-simulated ([`CampaignSession::run_resumed`]).
@@ -489,26 +452,6 @@ impl Campaign {
     /// Whether fault dropping (early stop on detection) is enabled.
     pub fn early_stop_enabled(&self) -> bool {
         self.early_stop
-    }
-
-    /// The configured batch scheduling mode.
-    pub fn batch_mode(&self) -> BatchMode {
-        self.batch
-    }
-
-    /// The lane width batched sessions will run at, or `None` when
-    /// batching is off. Signature recording needs complete per-fault
-    /// waveforms, which the lockstep kernel does not keep, so it
-    /// forces the scalar path regardless of the configured mode.
-    pub fn batch_width(&self) -> Option<usize> {
-        if self.record_signatures {
-            return None;
-        }
-        match self.batch {
-            BatchMode::Off => None,
-            BatchMode::Auto => Some(DEFAULT_BATCH_WIDTH),
-            BatchMode::Width(k) => Some(k.max(1)),
-        }
     }
 
     /// Whether diagnosis signature recording is enabled.
@@ -579,10 +522,9 @@ impl Campaign {
         })
     }
 
-    /// How the scalar path simulates each fault. Signature recording
-    /// needs the complete faulty waveform, so it overrides fault
-    /// dropping.
-    fn scalar_mode(&self) -> SimMode {
+    /// How each fault is simulated. Signature recording needs the
+    /// complete faulty waveform, so it overrides fault dropping.
+    fn sim_mode(&self) -> SimMode {
         if self.record_signatures {
             SimMode::Signature
         } else if self.early_stop {
@@ -630,7 +572,7 @@ pub fn match_checkpoint<'r>(
         .collect()
 }
 
-/// How the scalar path simulates one injected fault.
+/// How one injected fault is simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SimMode {
     /// Fault dropping: abandon the transient at the first deviating
@@ -665,16 +607,6 @@ impl FaultRecord {
     }
 }
 
-/// The `InjectionFailed` record for `fault`, timed from `t0`.
-fn injection_failed(fault: &Fault, error: &InjectError, t0: Instant) -> FaultRecord {
-    let telemetry = FaultTelemetry {
-        wall: t0.elapsed(),
-        ..FaultTelemetry::default()
-    };
-    let outcome = FaultOutcome::InjectionFailed(error.to_string());
-    FaultRecord::new(fault, outcome, telemetry, None)
-}
-
 /// The shared guard outcome for an observed node that vanished from
 /// the faulty circuit (kept in one place so the full-length and
 /// dropping paths cannot drift apart).
@@ -685,18 +617,18 @@ fn missing_observed(name: &str) -> FaultOutcome {
 /// The campaign engine: a campaign frozen after its nominal pass, with
 /// the campaign-wide [`PatternCache`] and the resolved nominal
 /// waveforms. Every session runs on it — [`CampaignSession::run`] and
-/// [`CampaignSession::run_with_progress`] through the scalar worker
-/// pool or lockstep batches, [`CampaignSession::run_resumed`] through
-/// the pool after replaying its checkpoint — and every one returns
-/// through [`PreparedCampaign::finish`].
+/// [`CampaignSession::run_with_progress`] through the worker pool,
+/// [`CampaignSession::run_resumed`] through the pool after replaying
+/// its checkpoint — and every one returns through
+/// [`PreparedCampaign::finish`].
 ///
 /// The handle is `Send + Sync`, so an external scheduler may call
 /// [`PreparedCampaign::simulate_fault`] from many threads at once and
 /// assemble the document with `finish`; the `anafault-serve` daemon
 /// does exactly that from its worker queue, which serves many
-/// campaigns at once. `simulate_fault` always takes the scalar path
-/// (honouring `early_stop` and signature recording): lockstep batching
-/// needs the whole fault list up front and runs only inside a session.
+/// campaigns at once. `simulate_fault` honours `early_stop` and
+/// signature recording, so every scheduler does the same work per
+/// fault.
 #[derive(Debug)]
 pub struct PreparedCampaign {
     campaign: Campaign,
@@ -733,10 +665,29 @@ impl PreparedCampaign {
     /// outcome, never returned — the same contract as a session worker.
     pub fn simulate_fault(&self, fault: &Fault) -> FaultRecord {
         let t0 = Instant::now();
-        match inject(&self.campaign.circuit, fault, self.campaign.model) {
-            Ok(faulty) => self.simulate_injected(fault, &faulty, self.campaign.scalar_mode(), t0),
-            Err(e) => injection_failed(fault, &e, t0),
-        }
+        let faulty = match inject(&self.campaign.circuit, fault, self.campaign.model) {
+            Ok(faulty) => faulty,
+            Err(e) => {
+                let telemetry = FaultTelemetry {
+                    wall: t0.elapsed(),
+                    ..FaultTelemetry::default()
+                };
+                let outcome = FaultOutcome::InjectionFailed(e.to_string());
+                return FaultRecord::new(fault, outcome, telemetry, None);
+            }
+        };
+        let _span = cat_telemetry::span!("anafault.fault");
+        let simulated = match self.campaign.sim_mode() {
+            SimMode::Dropping => self.simulate_dropping(&faulty),
+            SimMode::FullLength => self.simulate_full(&faulty, false),
+            SimMode::Signature => self.simulate_full(&faulty, true),
+        };
+        let (outcome, mut telemetry, signature) = simulated.unwrap_or_else(|e| {
+            let failed = FaultOutcome::SimulationFailed(e.to_string());
+            (failed, FaultTelemetry::default(), None)
+        });
+        telemetry.wall = t0.elapsed();
+        FaultRecord::new(fault, outcome, telemetry, signature)
     }
 
     /// Assembles the final [`CampaignResult`] from the completed
@@ -770,31 +721,6 @@ impl PreparedCampaign {
         };
         flush_campaign_counters(&result);
         result
-    }
-
-    /// Simulates an injected fault in `mode` and compares it against
-    /// the nominal response; a kernel failure becomes the record's
-    /// `SimulationFailed` outcome. The record's wall clock runs from
-    /// `t0`.
-    fn simulate_injected(
-        &self,
-        fault: &Fault,
-        faulty: &Circuit,
-        mode: SimMode,
-        t0: Instant,
-    ) -> FaultRecord {
-        let _span = cat_telemetry::span!("anafault.fault");
-        let simulated = match mode {
-            SimMode::Dropping => self.simulate_dropping(faulty),
-            SimMode::FullLength => self.simulate_full(faulty, false),
-            SimMode::Signature => self.simulate_full(faulty, true),
-        };
-        let (outcome, mut telemetry, signature) = simulated.unwrap_or_else(|e| {
-            let failed = FaultOutcome::SimulationFailed(e.to_string());
-            (failed, FaultTelemetry::default(), None)
-        });
-        telemetry.wall = t0.elapsed();
-        FaultRecord::new(fault, outcome, telemetry, signature)
     }
 
     /// Full-length simulation, then per-node detection; any-detect =
@@ -892,7 +818,7 @@ impl PreparedCampaign {
 
     /// The first observed node (in configuration order) whose sample at
     /// `t` leaves the nominal band — the per-sample predicate of the
-    /// dropping and lockstep paths.
+    /// dropping path.
     fn deviating_node(&self, columns: &[usize], t: f64, x: &[f64]) -> Option<usize> {
         let band = self.campaign.detection;
         columns
@@ -915,15 +841,13 @@ impl PreparedCampaign {
 
     /// Runs one session over `faults`: the records matched from
     /// `checkpoint` replay first (in input order, never re-simulated),
-    /// then the remaining faults run through lockstep batches at
-    /// `width` lanes when given, or through the scalar worker pool.
+    /// then the remaining faults run through the worker pool.
     /// `started` is the session's clock, started before the nominal
     /// pass.
     fn run_session(
         &self,
         faults: &[Fault],
         checkpoint: &[FaultRecord],
-        width: Option<usize>,
         started: Instant,
         on_event: impl FnMut(&CampaignProgress),
     ) -> CampaignResult {
@@ -939,30 +863,17 @@ impl PreparedCampaign {
         let pending: Vec<usize> = (0..faults.len())
             .filter(|&i| progress.slots[i].is_none())
             .collect();
-        let lanes = match width {
-            Some(width) => self.run_batched(faults, &pending, width, &mut progress),
-            None => {
-                self.run_pool(faults, &pending, &mut progress);
-                CampaignTelemetry::default()
-            }
-        };
+        self.run_pool(faults, &pending, &mut progress);
         let records = progress
             .slots
             .into_iter()
             .map(|r| r.expect("every fault reports exactly once"))
             .collect();
-        let mut result = self.finish(
+        self.finish(
             records,
             replayed.len() as u64,
             started.elapsed().as_secs_f64(),
-        );
-        let t = &mut result.telemetry;
-        t.batches = lanes.batches;
-        t.batched_faults = lanes.batched_faults;
-        t.lane_compactions = lanes.lane_compactions;
-        t.lane_refills = lanes.lane_refills;
-        t.ejections = lanes.ejections;
-        result
+        )
     }
 
     /// The session worker pool: scoped workers pull pending fault
@@ -995,152 +906,11 @@ impl PreparedCampaign {
             }
         });
     }
-
-    /// Lockstep batches: every pending fault is injected up front,
-    /// variants are grouped by stamp-compatible topology (node count,
-    /// unknown dimension, border classification), and each group runs
-    /// through the lockstep kernel `width` lanes at a time over one
-    /// shared matrix structure. A lane is dropped (compacted, and its
-    /// slot refilled from the pending queue) at the first deviating
-    /// sample; lanes the kernel cannot finish are re-run scalar, and
-    /// groups whose shared restricted pattern refuses to build fall
-    /// back to scalar wholesale — both with fault dropping, so verdicts
-    /// always match a scalar `early_stop(true)` session. Returns the
-    /// lane counters.
-    fn run_batched<F: FnMut(&CampaignProgress)>(
-        &self,
-        faults: &[Fault],
-        pending: &[usize],
-        width: usize,
-        progress: &mut Progress<F>,
-    ) -> CampaignTelemetry {
-        let mut lanes = CampaignTelemetry::default();
-        // Injection failures report (and stream) immediately.
-        let mut injected: Vec<Option<Circuit>> = vec![None; faults.len()];
-        let mut groups: BTreeMap<(usize, usize, bool), Vec<usize>> = BTreeMap::new();
-        for &i in pending {
-            let t0 = Instant::now();
-            match inject(&self.campaign.circuit, &faults[i], self.campaign.model) {
-                Ok(faulty) => {
-                    let dim = UnknownMap::new(&faulty).dim();
-                    let border = BatchGroup::is_border(&self.campaign.circuit, &faulty);
-                    groups
-                        .entry((faulty.node_count(), dim, border))
-                        .or_default()
-                        .push(i);
-                    injected[i] = Some(faulty);
-                }
-                Err(e) => progress.emit(i, injection_failed(&faults[i], &e, t0)),
-            }
-        }
-
-        for (&(_, _, border), members) in &groups {
-            let circuits: Vec<&Circuit> = members
-                .iter()
-                .map(|&i| injected[i].as_ref().expect("grouped faults injected"))
-                .collect();
-            let Some(group) = BatchGroup::build(&circuits, border) else {
-                for (&i, faulty) in members.iter().zip(circuits) {
-                    let record = self.simulate_injected(
-                        &faults[i],
-                        faulty,
-                        SimMode::Dropping,
-                        Instant::now(),
-                    );
-                    progress.emit(i, record);
-                }
-                continue;
-            };
-
-            let mut jobs: Vec<LaneJob<'_>> = Vec::with_capacity(members.len());
-            let mut cols: Vec<Vec<usize>> = vec![Vec::new(); faults.len()];
-            for (&i, &faulty) in members.iter().zip(&circuits) {
-                match self.observed_columns(faulty) {
-                    Ok(columns) => {
-                        cols[i] = columns;
-                        jobs.push(LaneJob {
-                            id: i,
-                            circuit: faulty,
-                        });
-                    }
-                    Err(outcome) => {
-                        let record =
-                            FaultRecord::new(&faults[i], outcome, FaultTelemetry::default(), None);
-                        progress.emit(i, record);
-                    }
-                }
-            }
-            if jobs.is_empty() {
-                continue;
-            }
-
-            let mut detected: Vec<Option<(f64, usize)>> = vec![None; faults.len()];
-            let g0 = Instant::now();
-            let (reports, stats) = run_group(
-                &group,
-                width,
-                &self.campaign.tran,
-                &jobs,
-                Some(&self.cache),
-                |id, t, x| match self.deviating_node(&cols[id], t, x) {
-                    Some(k) => {
-                        detected[id] = Some((t, k));
-                        false
-                    }
-                    None => true,
-                },
-            );
-            let group_wall = g0.elapsed();
-
-            lanes.batches += 1;
-            lanes.lane_compactions += stats.compactions;
-            lanes.lane_refills += stats.refills;
-            lanes.ejections += stats.ejections;
-
-            // Wall-clock attribution: every lane — ejected ones too,
-            // their partial work was real — gets a share of the group's
-            // wall time proportional to its Newton iterations.
-            let iters: Vec<u64> = reports.iter().map(|r| r.newton_iterations).collect();
-            for (report, share) in reports.iter().zip(share_wall(group_wall, &iters)) {
-                let i = report.id;
-                let record = if report.completed {
-                    lanes.batched_faults += 1;
-                    let telemetry = FaultTelemetry {
-                        wall: share,
-                        steps: report.steps,
-                        newton_iterations: report.newton_iterations,
-                        failed_iterations: report.failed_iterations,
-                        early_stopped: detected[i].is_some(),
-                        batch_width: stats.width as u32,
-                        ..FaultTelemetry::default()
-                    };
-                    FaultRecord::new(&faults[i], self.outcome(detected[i]), telemetry, None)
-                } else {
-                    // Ejected: re-run scalar from t = 0; the wasted
-                    // batch share stays on this fault's bill.
-                    let faulty = injected[i].as_ref().expect("ejected lanes were injected");
-                    let mut record = self.simulate_injected(
-                        &faults[i],
-                        faulty,
-                        SimMode::Dropping,
-                        Instant::now(),
-                    );
-                    record.telemetry.wall += share;
-                    record.telemetry.ejected = true;
-                    record.sim_seconds = record.telemetry.wall.as_secs_f64();
-                    record
-                };
-                progress.emit(i, record);
-            }
-        }
-        lanes
-    }
 }
 
 /// Completion bookkeeping for one session: a slot per fault, the
-/// arrival count and the caller's callback. Every record — replayed,
-/// pooled or batched — reaches the result through
-/// [`Progress::emit`].
+/// arrival count and the caller's callback. Every record — replayed
+/// or pooled — reaches the result through [`Progress::emit`].
 struct Progress<F> {
     slots: Vec<Option<FaultRecord>>,
     completed: usize,
@@ -1181,8 +951,7 @@ impl CampaignSession<'_> {
     /// (in completion order). Worker threads hand records over an event
     /// channel — result collection is lock-free, and the callback runs
     /// on the calling thread, so it may freely update progress bars or
-    /// stream to a service front-end. Batched campaigns run through
-    /// the lockstep kernel instead of the worker pool.
+    /// stream to a service front-end.
     ///
     /// # Errors
     /// See [`Campaign::run`].
@@ -1190,8 +959,7 @@ impl CampaignSession<'_> {
         self,
         on_event: impl FnMut(&CampaignProgress),
     ) -> Result<CampaignResult, SpiceError> {
-        let width = self.campaign.batch_width();
-        self.execute(&[], width, on_event)
+        self.execute(&[], on_event)
     }
 
     /// Resumes a session from checkpointed records: every fault whose
@@ -1204,10 +972,10 @@ impl CampaignSession<'_> {
     ///
     /// Records are matched by [`match_checkpoint`]: by
     /// [`Fault::id`](crate::Fault), first record per id, ignoring ids
-    /// outside this session's (budgeted) fault list. The batched
-    /// scheduler is never used on resume: the tail of an interrupted
-    /// campaign runs scalar (honouring `early_stop`), so resumed
-    /// verdicts match an uninterrupted scalar run bit for bit.
+    /// outside this session's (budgeted) fault list. The tail of an
+    /// interrupted campaign runs exactly as it would have (honouring
+    /// `early_stop`), so resumed verdicts match an uninterrupted run
+    /// bit for bit.
     ///
     /// # Errors
     /// See [`Campaign::run`].
@@ -1216,7 +984,7 @@ impl CampaignSession<'_> {
         completed: &[FaultRecord],
         on_event: impl FnMut(&CampaignProgress),
     ) -> Result<CampaignResult, SpiceError> {
-        self.execute(completed, None, on_event)
+        self.execute(completed, on_event)
     }
 
     /// Prepares the engine on a copy of the campaign and runs the
@@ -1224,12 +992,11 @@ impl CampaignSession<'_> {
     fn execute(
         self,
         checkpoint: &[FaultRecord],
-        width: Option<usize>,
         on_event: impl FnMut(&CampaignProgress),
     ) -> Result<CampaignResult, SpiceError> {
         let started = Instant::now();
         let prepared = self.campaign.clone().prepare()?;
-        Ok(prepared.run_session(self.faults, checkpoint, width, started, on_event))
+        Ok(prepared.run_session(self.faults, checkpoint, started, on_event))
     }
 }
 
@@ -1446,8 +1213,6 @@ impl From<&CampaignReport> for Json {
             ("early_stops", t.early_stops.into()),
             ("batches", t.batches.into()),
             ("batched_faults", t.batched_faults.into()),
-            ("lane_compactions", t.lane_compactions.into()),
-            ("lane_refills", t.lane_refills.into()),
             ("ejections", t.ejections.into()),
             // Every pattern-cache miss builds one pattern.
             ("pattern_builds", t.pattern_cache_misses.into()),
@@ -1819,53 +1584,39 @@ mod tests {
         assert_eq!(flagged, t.early_stops);
     }
 
+    /// `BatchMode` is inert: `Auto` is exactly fault dropping — same
+    /// verdicts, same kernel work — and `Off` is exactly the default.
+    /// The batch counters kept on the wire never move.
     #[test]
-    fn share_wall_conserves_total() {
-        let total = Duration::from_micros(12_345);
-        let shares = share_wall(total, &[3, 1, 0, 4]);
-        assert_eq!(shares.len(), 4);
-        let sum: Duration = shares.iter().sum();
-        let diff = sum.abs_diff(total);
-        assert!(diff < Duration::from_nanos(1_000), "off by {diff:?}");
-        assert_eq!(shares[2], Duration::ZERO);
-        // More iterations ⇒ a larger share.
-        assert!(shares[3] > shares[0] && shares[0] > shares[1]);
-        // No recorded work: the time still has to go somewhere — split
-        // it equally so totals stay conserved.
-        let eq = share_wall(total, &[0, 0]);
-        assert_eq!(eq[0], eq[1]);
-        assert!(share_wall(total, &[]).is_empty());
+    fn batch_mode_auto_only_turns_on_fault_dropping() {
+        for (builder, faults) in scheduler_cases() {
+            let dropping = builder.clone().early_stop(true).build().unwrap();
+            let auto = builder.clone().batch(BatchMode::Auto).build().unwrap();
+            let off = builder.clone().batch(BatchMode::Off).build().unwrap();
+            assert!(auto.early_stop_enabled());
+            assert!(!off.early_stop_enabled());
+            let reference = dropping.run(&faults).unwrap();
+            let result = auto.run(&faults).unwrap();
+            assert_same_work(&result, &reference, "batch(Auto)");
+            assert_same_work(
+                &off.run(&faults).unwrap(),
+                &builder.build().unwrap().run(&faults).unwrap(),
+                "batch(Off)",
+            );
+            let t = result.telemetry;
+            assert_eq!((t.batches, t.batched_faults, t.ejections), (0, 0, 0));
+            assert!(result.records.iter().all(|r| !r.telemetry.ejected));
+        }
     }
 
     #[test]
-    fn batch_mode_selects_lane_width() {
-        assert_eq!(campaign().batch_width(), None);
-        let auto = campaign_builder().batch(BatchMode::Auto).build().unwrap();
-        assert_eq!(auto.batch_mode(), BatchMode::Auto);
-        assert_eq!(auto.batch_width(), Some(DEFAULT_BATCH_WIDTH));
-        let fixed = campaign_builder()
-            .batch(BatchMode::Width(3))
-            .build()
-            .unwrap();
-        assert_eq!(fixed.batch_width(), Some(3));
-        // Width 0 is nonsense; clamp instead of dividing by zero later.
-        let clamped = campaign_builder()
-            .batch(BatchMode::Width(0))
-            .build()
-            .unwrap();
-        assert_eq!(clamped.batch_width(), Some(1));
-    }
-
-    #[test]
-    fn signature_recording_populates_records_and_forces_scalar() {
+    fn signature_recording_populates_records_and_forces_full_length() {
         let c = campaign_builder()
             .record_signatures(true)
-            .batch(BatchMode::Auto)
             .early_stop(true)
             .build()
             .unwrap();
         assert!(c.record_signatures_enabled());
-        assert_eq!(c.batch_width(), None, "recording forces the scalar path");
         let points = c.signature_spec().points;
         let result = c.run(&fault_set()).unwrap();
         for r in &result.records {
@@ -1895,7 +1646,7 @@ mod tests {
     }
 
     /// A 12-section RC ladder driven by a pulse: 14 unknowns, enough to
-    /// clear the sparse cutoff so batched groups actually build.
+    /// clear the sparse cutoff so the sparse solver runs.
     fn ladder_testbench() -> Circuit {
         let mut s = String::from("ladder\nV1 in 0 pulse(0 5 0 1u 1u 40u 100u)\n");
         let mut prev = "in".to_string();
@@ -1975,126 +1726,6 @@ mod tests {
             })
             .model(model)
             .threads(1)
-    }
-
-    /// The tentpole invariant: batched scheduling must reproduce the
-    /// scalar fault-dropping verdicts exactly — outcome variant,
-    /// detection time and detecting node — for both the resistor model
-    /// (plain union groups) and the source model (bordered groups), at
-    /// several lane widths.
-    #[test]
-    fn batched_campaign_matches_scalar_verdicts() {
-        let faults = ladder_faults();
-        for model in [HardFaultModel::paper_resistor(), HardFaultModel::Source] {
-            let scalar = ladder_campaign(model)
-                .early_stop(true)
-                .build()
-                .unwrap()
-                .run(&faults)
-                .unwrap();
-            let expected: Vec<_> = scalar.records.iter().map(|r| r.outcome.clone()).collect();
-            for width in [1, 3, 8] {
-                let batched = ladder_campaign(model)
-                    .batch(BatchMode::Width(width))
-                    .build()
-                    .unwrap()
-                    .run(&faults)
-                    .unwrap();
-                let got: Vec<_> = batched.records.iter().map(|r| r.outcome.clone()).collect();
-                assert_eq!(got, expected, "model {model:?} width {width}");
-                assert!(batched.telemetry.batches >= 1);
-                assert!(batched.telemetry.batched_faults >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_records_attribute_shared_wall_clock() {
-        let faults = ladder_faults();
-        let result = ladder_campaign(HardFaultModel::paper_resistor())
-            .batch(BatchMode::Width(4))
-            .build()
-            .unwrap()
-            .run(&faults)
-            .unwrap();
-        let mut batched = 0;
-        for r in &result.records {
-            if matches!(r.outcome, FaultOutcome::InjectionFailed(_)) {
-                continue;
-            }
-            if r.telemetry.batch_width > 0 {
-                batched += 1;
-                // Width is clamped to the group size, so singleton
-                // groups (e.g. the open, which adds a node) run at 1.
-                assert!(r.telemetry.batch_width <= 4);
-                assert!(!r.telemetry.ejected);
-                assert!(r.telemetry.wall > Duration::ZERO);
-                assert_eq!(r.sim_seconds, r.telemetry.wall.as_secs_f64());
-                assert!(r.telemetry.steps > 0);
-                assert!(r.telemetry.newton_iterations >= r.telemetry.steps);
-            }
-        }
-        assert_eq!(batched as u64, result.telemetry.batched_faults);
-        assert!(batched > 0, "ladder faults must actually batch");
-        // The short/soft group has 8 members, so it runs at full width.
-        assert!(result.records.iter().any(|r| r.telemetry.batch_width == 4));
-        // Detected faults dropped their lanes early, so the compactor
-        // must have retired lanes and refilled from the queue.
-        assert!(result.telemetry.lane_compactions > 0);
-        assert!(result.telemetry.lane_refills > 0);
-        assert!(result.telemetry.early_stops > 0);
-    }
-
-    /// Circuits below the sparse cutoff cannot build a batch group; the
-    /// session must fall back to scalar dropping and still agree.
-    #[test]
-    fn batched_small_circuit_falls_back_to_scalar() {
-        let faults = fault_set();
-        let scalar = campaign_builder()
-            .early_stop(true)
-            .build()
-            .unwrap()
-            .run(&faults)
-            .unwrap();
-        let batched = campaign_builder()
-            .batch(BatchMode::Auto)
-            .build()
-            .unwrap()
-            .run(&faults)
-            .unwrap();
-        let oa: Vec<_> = scalar.records.iter().map(|r| r.outcome.clone()).collect();
-        let ob: Vec<_> = batched.records.iter().map(|r| r.outcome.clone()).collect();
-        assert_eq!(oa, ob);
-        assert_eq!(batched.telemetry.batched_faults, 0);
-        assert_eq!(batched.telemetry.batches, 0);
-        for r in &batched.records {
-            assert_eq!(r.telemetry.batch_width, 0);
-            assert!(!r.telemetry.ejected);
-        }
-    }
-
-    /// The streaming interface fires once per fault in batch mode too.
-    #[test]
-    fn batched_progress_stream_emits_one_event_per_fault() {
-        let faults = ladder_faults();
-        let c = ladder_campaign(HardFaultModel::paper_resistor())
-            .batch(BatchMode::Width(4))
-            .build()
-            .unwrap();
-        let mut events: Vec<(usize, usize, usize)> = Vec::new();
-        let result = c
-            .session(&faults)
-            .run_with_progress(|p| events.push((p.index, p.completed, p.total)))
-            .unwrap();
-        assert_eq!(events.len(), faults.len());
-        for (n, &(_, completed, total)) in events.iter().enumerate() {
-            assert_eq!(completed, n + 1);
-            assert_eq!(total, faults.len());
-        }
-        let mut indices: Vec<usize> = events.iter().map(|e| e.0).collect();
-        indices.sort_unstable();
-        assert_eq!(indices, (0..faults.len()).collect::<Vec<_>>());
-        assert_eq!(result.records.len(), faults.len());
     }
 
     #[test]

@@ -110,8 +110,6 @@ fn campaign_telemetry_json(t: &CampaignTelemetry) -> Json {
         ("early_stops", t.early_stops.into()),
         ("batches", t.batches.into()),
         ("batched_faults", t.batched_faults.into()),
-        ("lane_compactions", t.lane_compactions.into()),
-        ("lane_refills", t.lane_refills.into()),
         ("ejections", t.ejections.into()),
         ("replayed_faults", t.replayed_faults.into()),
         ("deduped_faults", t.deduped_faults.into()),
@@ -132,8 +130,6 @@ fn campaign_telemetry_from_json(v: Option<&Json>) -> Result<CampaignTelemetry, P
         early_stops: v.field("early_stops")?.as_u64()?,
         batches: opt_u64(v, "batches")?,
         batched_faults: opt_u64(v, "batched_faults")?,
-        lane_compactions: opt_u64(v, "lane_compactions")?,
-        lane_refills: opt_u64(v, "lane_refills")?,
         ejections: opt_u64(v, "ejections")?,
         replayed_faults: opt_u64(v, "replayed_faults")?,
         deduped_faults: opt_u64(v, "deduped_faults")?,
@@ -225,7 +221,6 @@ fn fault_telemetry_json(t: &FaultTelemetry) -> Json {
         ("dense_fallbacks", t.solver.dense_fallbacks.into()),
         ("demotions", t.solver.demotions.into()),
         ("early_stopped", t.early_stopped.into()),
-        ("batch_width", t.batch_width.into()),
         ("ejected", t.ejected.into()),
     ])
 }
@@ -251,7 +246,6 @@ fn fault_telemetry_from_json(v: Option<&Json>) -> Result<FaultTelemetry, Protoco
             demotions: v.field("demotions")?.as_u64()?,
         },
         early_stopped: v.field("early_stopped")?.as_bool()?,
-        batch_width: opt_u64(v, "batch_width")? as u32,
         ejected: opt_bool(v, "ejected")?,
     })
 }
@@ -919,7 +913,6 @@ mod tests {
                             demotions: 0,
                         },
                         early_stopped: true,
-                        batch_width: 4,
                         ejected: true,
                     },
                     signature: Some(FaultSignature {
@@ -1010,8 +1003,6 @@ mod tests {
                 early_stops: 1,
                 batches: 3,
                 batched_faults: 4,
-                lane_compactions: 2,
-                lane_refills: 1,
                 ejections: 1,
                 replayed_faults: 2,
                 deduped_faults: 3,

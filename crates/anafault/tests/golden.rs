@@ -8,6 +8,11 @@
 //! instead of the document with its newlines flattened) may differ in
 //! whitespace only. Every snapshot must parse to a tree equal to
 //! today's output and read back through its typed reader.
+//!
+//! `golden/legacy_*` keeps a result and a checkpoint as written while
+//! the lockstep batch engine existed, with its `batch_width`,
+//! `lane_compactions` and `lane_refills` keys. They must still parse,
+//! and re-encode to today's snapshots: only those keys are gone.
 
 mod samples;
 
@@ -125,4 +130,26 @@ fn dictionaries_change_whitespace_only() {
         assert_whitespace_only(&golden(name), &now);
         assert_eq!(protocol::dictionary_from_json(&golden(name)).unwrap(), dict);
     }
+}
+
+#[test]
+fn documents_with_lockstep_keys_still_parse() {
+    let old = golden("legacy_result.json");
+    assert!(old.contains("\"batch_width\": 4") && old.contains("\"lane_refills\""));
+    let result = protocol::from_json(&old).unwrap();
+    assert!(result.records[0].telemetry.ejected);
+    assert_eq!(protocol::to_json(&result), golden("result.json"));
+
+    let checkpoint = golden("legacy_checkpoint.ndjson");
+    let lines: Vec<String> = checkpoint
+        .lines()
+        .map(|line| {
+            assert!(line.contains("\"batch_width\""));
+            let Ok(StreamEvent::Progress(p)) = protocol::event_from_json(line) else {
+                panic!("not a progress line: {line}");
+            };
+            protocol::progress_to_json(&p)
+        })
+        .collect();
+    assert_eq!(ndjson(lines), golden("checkpoint.ndjson"));
 }

@@ -76,7 +76,6 @@ pub fn result() -> CampaignResult {
             demotions: 0,
         },
         early_stopped: true,
-        batch_width: 4,
         ejected: true,
     };
     first.signature = Some(signature([0.0, 0.5, -0.25], [0.0, 0.0, 0.0], Some(0.5e-6)));
@@ -155,8 +154,6 @@ pub fn result() -> CampaignResult {
             early_stops: 1,
             batches: 3,
             batched_faults: 5,
-            lane_compactions: 1,
-            lane_refills: 2,
             ejections: 1,
             replayed_faults: 0,
             deduped_faults: 4,

@@ -4,20 +4,14 @@
 //! By default the campaign runs once per linear-solver backend and the
 //! dense-vs-sparse comparison is recorded alongside the report (the
 //! sparse run doubles as the report's data); `--skip-solver-compare`
-//! runs the campaign a single time instead.
-//!
-//! Batched scheduling (`spice::batch`) is on by default: `--batch <k>`
-//! pins the lane width, `--batch auto` picks the default, and
-//! `--batch off` restores the per-fault scalar path. When both the
-//! solver comparison and batching run, the batched campaign is timed
-//! against the scalar sparse run and the speedup lands in the
-//! `--metrics` report's `batch` entry.
+//! runs the campaign a single time instead, with fault dropping, as
+//! does `--json`.
 
 use anafault::report::{coverage_plot, protocol_table};
-use anafault::{protocol, BatchMode, HardFaultModel};
+use anafault::{protocol, HardFaultModel};
 use bench::{
-    batch_width_of, compare_batch, fig5_campaign_batched, fig5_campaign_signed, fig5_campaign_spec,
-    fig5_curve, fig5_solver_comparison, self_diagnose, ArgSpec, BatchSummary, Metrics,
+    fig5_campaign_limited, fig5_campaign_signed, fig5_campaign_spec, fig5_curve,
+    fig5_solver_comparison, self_diagnose, ArgSpec, Metrics,
 };
 
 const ARGS: ArgSpec = ArgSpec {
@@ -30,14 +24,14 @@ usage: fig5 [flags]
   --signatures           record diagnosis signatures in --emit-spec output
   --diagnose             run with signatures, build the fault dictionary and
                          self-diagnose every detected fault
-  --skip-solver-compare  run the campaign once (no dense-vs-sparse pass)
-  --batch K|auto|off     lane width for the batched scheduler (default auto)
+  --skip-solver-compare  run the campaign once, with fault dropping
+                         (no dense-vs-sparse pass)
   --max-faults N         trim the fault list to the first N faults
   --client NAME          client tag stamped into --emit-spec output
   --metrics FILE         write the bench-report/1 run report to FILE
   --help                 print this help
 ",
-    value_flags: &["--metrics", "--max-faults", "--batch", "--client"],
+    value_flags: &["--metrics", "--max-faults", "--client"],
     bool_flags: &[
         "--json",
         "--emit-spec",
@@ -54,14 +48,6 @@ fn main() {
     let max_faults: Option<usize> = match args.parsed("--max-faults") {
         Ok(n @ Some(1..)) | Ok(n @ None) => n,
         _ => ARGS.fail("--max-faults requires a positive integer"),
-    };
-    let batch = match args.value("--batch") {
-        None | Some("auto") => BatchMode::Auto,
-        Some("off") => BatchMode::Off,
-        Some(v) => match v.parse::<usize>() {
-            Ok(k) if k >= 1 => BatchMode::Width(k),
-            _ => ARGS.fail("--batch requires a positive lane width, `auto` or `off`"),
-        },
     };
     // `--emit-spec` prints the campaign as a serve-submittable spec
     // document — the producer side of the anafault-serve smoke flow.
@@ -127,67 +113,22 @@ fn main() {
     // the hand-formatted report (pipe into a file or a service).
     if args.flag("--json") {
         metrics.phase("campaign");
-        let (result, _) = fig5_campaign_batched(HardFaultModel::Source, batch, max_faults);
+        let (result, _) = fig5_campaign_limited(HardFaultModel::Source, max_faults, true);
         print!("{}", anafault::protocol::to_json(&result));
         metrics.attach_campaign(result.report());
         metrics.finish();
         return;
     }
-    let mut batch_summary: Option<BatchSummary> = None;
     let (comparison, result) = if skip_compare {
         metrics.phase("campaign");
-        let (result, _) = fig5_campaign_batched(HardFaultModel::Source, batch, max_faults);
-        if batch != BatchMode::Off {
-            batch_summary = Some(BatchSummary {
-                width: batch_width_of(batch),
-                speedup: None,
-                verdicts_agree: None,
-            });
-        }
+        let (result, _) = fig5_campaign_limited(HardFaultModel::Source, max_faults, true);
         (None, result)
     } else {
         metrics.phase("solver-comparison");
         let (cmp, sparse_result) = fig5_solver_comparison(HardFaultModel::Source);
-        if batch != BatchMode::Off {
-            // Time the batched scheduler against the scalar sparse run
-            // it is meant to replace (both over the full fault list,
-            // like the solver comparison).
-            metrics.phase("batch-comparison");
-            let (batched, _) = fig5_campaign_batched(HardFaultModel::Source, batch, None);
-            let bc = compare_batch(&sparse_result, &batched, batch_width_of(batch));
-            println!(
-                "batch comparison ({} faults, width {}):",
-                bc.n_faults, bc.width
-            );
-            println!(
-                "  scalar        {:>8.2} s   ({} Newton iterations)",
-                bc.scalar_seconds, bc.scalar_work
-            );
-            println!(
-                "  batched       {:>8.2} s   ({} Newton iterations)",
-                bc.batched_seconds, bc.batched_work
-            );
-            println!("  speedup       {:>8.2} x  (wall-clock)", bc.speedup());
-            if bc.verdicts_agree() {
-                println!("  verdicts      identical on every fault\n");
-            } else {
-                println!(
-                    "  verdicts      DISAGREE on faults {:?}\n",
-                    bc.disagreements
-                );
-            }
-            batch_summary = Some(BatchSummary {
-                width: bc.width,
-                speedup: Some(bc.speedup()),
-                verdicts_agree: Some(bc.verdicts_agree()),
-            });
-        }
         (Some(cmp), sparse_result)
     };
     metrics.attach_campaign(result.report());
-    if let Some(b) = batch_summary {
-        metrics.attach_batch(b);
-    }
     metrics.phase("render");
     let curve = fig5_curve(&result);
     println!("Fig. 5 — fault coverage plot (source model, 2 V / 0.2 µs tolerance)\n");

@@ -10,13 +10,10 @@ pub mod args;
 pub mod metrics;
 
 pub use args::{ArgSpec, Args};
-pub use metrics::{
-    render_report, BatchSummary, DiagnosisSummary, Metrics, REPORT_SCHEMA, REQUIRED_COUNTERS,
-};
+pub use metrics::{render_report, DiagnosisSummary, Metrics, REPORT_SCHEMA, REQUIRED_COUNTERS};
 
 use anafault::{
-    BatchMode, Campaign, CampaignResult, DetectionSpec, Fault, FaultEffect, FaultOutcome,
-    HardFaultModel, DEFAULT_BATCH_WIDTH,
+    Campaign, CampaignResult, DetectionSpec, Fault, FaultEffect, FaultOutcome, HardFaultModel,
 };
 use cat_core::{CatSystem, FaultFunnel};
 use defect::SizeDistribution;
@@ -197,27 +194,17 @@ pub fn fig5_curve(result: &CampaignResult) -> Vec<(f64, f64)> {
 /// Runs the full fault-simulation campaign and returns the result plus
 /// the coverage curve sampled each 1 % of test time.
 pub fn fig5_campaign(model: HardFaultModel) -> (CampaignResult, Vec<(f64, f64)>) {
-    fig5_campaign_limited(model, None)
+    fig5_campaign_limited(model, None, false)
 }
 
 /// [`fig5_campaign`] with an optional fault budget — the CI smoke job
 /// runs a trimmed list (`--max-faults`) so the report pipeline is
-/// exercised in seconds rather than the full campaign's minutes.
+/// exercised in seconds rather than the full campaign's minutes — and
+/// optional fault dropping (`early_stop`).
 pub fn fig5_campaign_limited(
     model: HardFaultModel,
     max_faults: Option<usize>,
-) -> (CampaignResult, Vec<(f64, f64)>) {
-    fig5_campaign_batched(model, BatchMode::Off, max_faults)
-}
-
-/// [`fig5_campaign_limited`] with a batch scheduling mode: anything but
-/// [`BatchMode::Off`] runs same-topology faults in SIMD-friendly
-/// lockstep lanes over one shared matrix structure (`spice::batch`),
-/// with fault dropping implied.
-pub fn fig5_campaign_batched(
-    model: HardFaultModel,
-    batch: BatchMode,
-    max_faults: Option<usize>,
+    early_stop: bool,
 ) -> (CampaignResult, Vec<(f64, f64)>) {
     let (sys, tb) = vco_system();
     let mut builder = Campaign::builder()
@@ -226,7 +213,7 @@ pub fn fig5_campaign_batched(
         .observe(OBSERVED_NODE)
         .detection(DetectionSpec::paper_fig5())
         .model(model)
-        .batch(batch);
+        .early_stop(early_stop);
     if let Some(n) = max_faults {
         builder = builder.max_faults(n);
     }
@@ -243,8 +230,7 @@ pub fn fig5_campaign_batched(
 /// every successfully simulated fault's record carries its deviation
 /// trajectory, so the result can seed a fault dictionary. Signature
 /// recording needs the complete faulty waveform, so the campaign runs
-/// scalar and full-length (batching and fault dropping are bypassed by
-/// the builder).
+/// full-length.
 pub fn fig5_campaign_signed(
     model: HardFaultModel,
     max_faults: Option<usize>,
@@ -433,82 +419,6 @@ fn verdict_disagreements(a: &CampaignResult, b: &CampaignResult) -> Vec<usize> {
         })
         .map(|(x, _)| x.fault.id)
         .collect()
-}
-
-/// Scalar-vs-batched comparison on the Fig. 5 campaign: the same fault
-/// list and fault model through the per-fault scalar path (the PR 6
-/// baseline) and through the lockstep batched scheduler.
-#[derive(Debug, Clone)]
-pub struct BatchComparison {
-    /// Wall-clock seconds for the whole campaign, per-fault scalar.
-    pub scalar_seconds: f64,
-    /// Wall-clock seconds for the whole campaign, batched lockstep.
-    pub batched_seconds: f64,
-    /// Kernel work (accepted Newton iterations), scalar.
-    pub scalar_work: u64,
-    /// Kernel work, batched (including any ejected-lane re-runs).
-    pub batched_work: u64,
-    /// The lane width the batched run was configured with.
-    pub width: usize,
-    /// Faults simulated.
-    pub n_faults: usize,
-    /// Faults whose verdict class differs (must be empty).
-    pub disagreements: Vec<usize>,
-}
-
-impl BatchComparison {
-    /// Scalar/batched wall-clock ratio (> 1 means batching wins).
-    pub fn speedup(&self) -> f64 {
-        self.scalar_seconds / self.batched_seconds
-    }
-
-    /// True when both schedulers produced identical fault verdicts.
-    pub fn verdicts_agree(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
-/// Compares an already-run scalar campaign against an already-run
-/// batched campaign over the same fault list. Split from
-/// [`fig5_batch_comparison`] so the fig5 binary can reuse its solver
-/// comparison's sparse run as the scalar baseline.
-pub fn compare_batch(
-    scalar: &CampaignResult,
-    batched: &CampaignResult,
-    width: usize,
-) -> BatchComparison {
-    BatchComparison {
-        scalar_seconds: scalar.total_seconds,
-        batched_seconds: batched.total_seconds,
-        scalar_work: scalar.total_newton_iterations(),
-        batched_work: batched.total_newton_iterations(),
-        width,
-        n_faults: scalar.records.len(),
-        disagreements: verdict_disagreements(scalar, batched),
-    }
-}
-
-/// The lane width a [`BatchMode`] resolves to (0 for `Off`).
-pub fn batch_width_of(batch: BatchMode) -> usize {
-    match batch {
-        BatchMode::Off => 0,
-        BatchMode::Auto => DEFAULT_BATCH_WIDTH,
-        BatchMode::Width(k) => k.max(1),
-    }
-}
-
-/// Runs the Fig. 5 campaign once scalar and once batched and compares
-/// runtime and verdicts. Also returns the batched run's full result so
-/// the caller can render the coverage report from it.
-pub fn fig5_batch_comparison(
-    model: HardFaultModel,
-    batch: BatchMode,
-    max_faults: Option<usize>,
-) -> (BatchComparison, CampaignResult) {
-    let (scalar, _) = fig5_campaign_limited(model, max_faults);
-    let (batched, _) = fig5_campaign_batched(model, batch, max_faults);
-    let comparison = compare_batch(&scalar, &batched, batch_width_of(batch));
-    (comparison, batched)
 }
 
 // ---------------------------------------------------------------------

@@ -30,11 +30,6 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
     "spice.tran.runs",
     "spice.tran.steps",
     "spice.newton.iterations",
-    "spice.batch.batches",
-    "spice.batch.lanes",
-    "spice.batch.compactions",
-    "spice.batch.refills",
-    "spice.batch.ejections",
     "anafault.serve.requests",
     "anafault.serve.campaigns_started",
     "anafault.serve.campaigns_resumed",
@@ -60,22 +55,7 @@ pub struct Metrics {
     phases: Vec<(String, f64)>,
     current: Option<(String, Instant)>,
     campaign: Option<CampaignReport>,
-    batch: Option<BatchSummary>,
     diagnosis: Option<DiagnosisSummary>,
-}
-
-/// The batching trajectory entry written into the run report: which
-/// lane width ran and what it bought over the scalar baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchSummary {
-    /// Configured lane width.
-    pub width: usize,
-    /// Scalar/batched wall-clock ratio (> 1 means batching wins), or
-    /// `None` when no scalar baseline ran alongside.
-    pub speedup: Option<f64>,
-    /// Whether scalar and batched verdicts agreed on every fault
-    /// (`None` without a baseline).
-    pub verdicts_agree: Option<bool>,
 }
 
 /// The diagnosis entry written into the run report: dictionary size,
@@ -128,7 +108,6 @@ impl Metrics {
             phases: Vec::new(),
             current: None,
             campaign: None,
-            batch: None,
             diagnosis: None,
         }
     }
@@ -149,12 +128,6 @@ impl Metrics {
         self.campaign = Some(report);
     }
 
-    /// Attaches the batching summary (chosen lane width plus measured
-    /// speedup and verdict agreement when a scalar baseline ran).
-    pub fn attach_batch(&mut self, batch: BatchSummary) {
-        self.batch = Some(batch);
-    }
-
     /// Attaches the fault-dictionary self-diagnosis summary.
     pub fn attach_diagnosis(&mut self, diagnosis: DiagnosisSummary) {
         self.diagnosis = Some(diagnosis);
@@ -172,7 +145,6 @@ impl Metrics {
             self.start.elapsed().as_secs_f64(),
             &self.phases,
             self.campaign.as_ref(),
-            self.batch,
             self.diagnosis,
         );
         match std::fs::write(&path, report) {
@@ -201,7 +173,6 @@ pub fn render_report(
     wall_seconds: f64,
     phases: &[(String, f64)],
     campaign: Option<&CampaignReport>,
-    batch: Option<BatchSummary>,
     diagnosis: Option<DiagnosisSummary>,
 ) -> String {
     let phases = phases.iter().map(|(name, seconds)| {
@@ -215,13 +186,6 @@ pub fn render_report(
         counters.entry(key.to_string()).or_insert(0);
     }
     let histograms = cat_telemetry::global().histogram_snapshots();
-    let batch = batch.map(|b| {
-        Json::object([
-            ("width", b.width.into()),
-            ("speedup", b.speedup.into()),
-            ("verdicts_agree", b.verdicts_agree.into()),
-        ])
-    });
     let diagnosis = diagnosis.map(|d| {
         Json::object([
             ("entries", d.entries.into()),
@@ -244,7 +208,6 @@ pub fn render_report(
             "histograms",
             Json::object(histograms.iter().map(|(k, h)| (k.as_str(), h.into()))),
         ),
-        ("batch", batch.into()),
         ("diagnosis", diagnosis.into()),
         ("campaign", campaign.map(Json::from).into()),
     ])

@@ -12,7 +12,7 @@
 mod samples;
 
 use anafault::protocol::parse_json;
-use bench::{render_report, BatchSummary, DiagnosisSummary};
+use bench::{render_report, DiagnosisSummary};
 
 fn golden(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -37,11 +37,6 @@ fn reports_match_snapshots() {
         1.5,
         &phases,
         Some(&samples::result().report()),
-        Some(BatchSummary {
-            width: 4,
-            speedup: Some(2.5),
-            verdicts_agree: Some(true),
-        }),
         Some(DiagnosisSummary {
             entries: 4,
             classes: 3,
@@ -56,7 +51,6 @@ fn reports_match_snapshots() {
         "  \"phases\": [\n    {\"name\": \"setup\", \"seconds\": 0.25},\n    \
          {\"name\": \"campaign\", \"seconds\": 1.0}\n  ],\n"
     ));
-    assert!(full.contains("\n  \"batch\": {\"width\": 4, "));
     assert!(full.contains("\n  \"diagnosis\": {\"entries\": 4, "));
 
     let partial = render_report(
@@ -64,16 +58,11 @@ fn reports_match_snapshots() {
         1e-7,
         &phases[..1],
         Some(&samples::empty_result().report()),
-        Some(BatchSummary {
-            width: 8,
-            speedup: None,
-            verdicts_agree: None,
-        }),
         None,
     );
     assert_same_tree(&golden("report_partial.json"), &partial);
 
-    let empty = render_report("empty", 0.0, &[], None, None, None);
+    let empty = render_report("empty", 0.0, &[], None, None);
     assert_same_tree(&golden("report_empty.json"), &empty);
 }
 

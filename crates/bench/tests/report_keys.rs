@@ -3,7 +3,7 @@
 
 use anafault::protocol::parse_json;
 use anafault::{Campaign, DetectionSpec, HardFaultModel};
-use bench::{render_report, BatchSummary, DiagnosisSummary, REPORT_SCHEMA, REQUIRED_COUNTERS};
+use bench::{render_report, DiagnosisSummary, REPORT_SCHEMA, REQUIRED_COUNTERS};
 use spice::tran::TranSpec;
 use vco::OBSERVED_NODE;
 
@@ -25,11 +25,6 @@ fn report_contains_required_keys() {
     cat_telemetry::set_enabled(false);
 
     let phases = vec![("campaign".to_string(), 0.25)];
-    let batch = BatchSummary {
-        width: 4,
-        speedup: Some(2.5),
-        verdicts_agree: Some(true),
-    };
     let diagnosis = DiagnosisSummary {
         entries: 4,
         classes: 3,
@@ -42,7 +37,6 @@ fn report_contains_required_keys() {
         1.0,
         &phases,
         Some(&result.report()),
-        Some(batch),
         Some(diagnosis),
     );
     let doc = parse_json(&text).expect("report is valid JSON");
@@ -87,16 +81,6 @@ fn report_contains_required_keys() {
             > 0
     );
 
-    // The batching trajectory entry round-trips through the report.
-    let batch_json = doc.field("batch").expect("batch object");
-    assert_eq!(batch_json.field("width").unwrap().as_u64().unwrap(), 4);
-    assert_eq!(batch_json.field("speedup").unwrap().as_f64().unwrap(), 2.5);
-    assert!(batch_json
-        .field("verdicts_agree")
-        .unwrap()
-        .as_bool()
-        .unwrap());
-
     // The diagnosis entry round-trips through the report.
     let diag_json = doc.field("diagnosis").expect("diagnosis object");
     for (key, want) in [
@@ -124,8 +108,6 @@ fn report_contains_required_keys() {
         "pattern_builds",
         "batches",
         "batched_faults",
-        "lane_compactions",
-        "lane_refills",
         "ejections",
         "sim_seconds_distribution",
         "newton_iterations_distribution",
@@ -139,16 +121,15 @@ fn report_contains_required_keys() {
 
 #[test]
 fn report_without_campaign_has_null_campaign() {
-    let text = render_report("empty", 0.0, &[], None, None, None);
+    let text = render_report("empty", 0.0, &[], None, None);
     let doc = parse_json(&text).expect("report is valid JSON");
     assert_eq!(
         doc.field("schema").unwrap().as_str().unwrap(),
         REPORT_SCHEMA
     );
-    // `campaign`, `batch` and `diagnosis` are present-but-null so
+    // `campaign` and `diagnosis` are present-but-null so
     // consumers can distinguish "didn't run" from a truncated document.
     assert!(doc.get("campaign").is_some());
     assert!(doc.get("campaign").unwrap().as_f64().is_err());
-    assert!(doc.get("batch").is_some());
     assert!(doc.get("diagnosis").is_some());
 }

@@ -31,17 +31,18 @@ fn bad(message: &str) -> io::Error {
 }
 
 /// Reads one request, or `None` when the peer closed the connection
-/// before sending one.
+/// before sending one. The request line and headers together may take
+/// at most [`MAX_HEAD_BYTES`]: every line is read through the budget
+/// that is left, so a peer that never sends a newline costs at most
+/// `MAX_HEAD_BYTES + 1` bytes of buffer.
 ///
 /// # Errors
 /// I/O failures, oversized heads/bodies and malformed framing.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut head = 0usize;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let mut budget = MAX_HEAD_BYTES;
+    let Some(line) = read_head_line(reader, &mut budget)? else {
         return Ok(None);
-    }
-    head += line.len();
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
@@ -51,14 +52,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let Some(header) = read_head_line(reader, &mut budget)? else {
             return Err(bad("connection closed inside headers"));
-        }
-        head += header.len();
-        if head > MAX_HEAD_BYTES {
-            return Err(bad("request head too large"));
-        }
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -83,6 +79,26 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         path: request.1,
         body,
     }))
+}
+
+/// Reads one head line, its newline included, of at most `budget`
+/// bytes and charges it to `budget`; `None` at end of input. Reads at
+/// most `budget + 1` bytes.
+fn read_head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if n > *budget {
+        return Err(bad("request head too large"));
+    }
+    *budget -= n;
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| bad("request head is not UTF-8"))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -300,4 +316,149 @@ pub fn stream_request(
         on_line(line)?;
     }
     Ok(status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// Reads one request from `bytes`; also returns the bytes consumed.
+    fn parse(bytes: &[u8]) -> (io::Result<Option<Request>>, usize) {
+        let mut rest = bytes;
+        let result = read_request(&mut rest);
+        (result, bytes.len() - rest.len())
+    }
+
+    fn too_large(result: io::Result<Option<Request>>) -> bool {
+        result.is_err_and(|e| {
+            e.kind() == io::ErrorKind::InvalidData && e.to_string() == "request head too large"
+        })
+    }
+
+    #[test]
+    fn reads_a_request_and_its_body() {
+        let (result, used) = parse(b"POST /campaigns HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello+");
+        let request = result.unwrap().unwrap();
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/campaigns")
+        );
+        assert_eq!(request.body, "hello");
+        assert_eq!(used, 52);
+        assert!(parse(b"").0.unwrap().is_none());
+    }
+
+    /// A peer that never sends a newline is cut off at the head budget,
+    /// in the request line and in a header alike.
+    #[test]
+    fn a_head_without_newline_is_bounded() {
+        let flood = vec![b'a'; 1 << 20];
+        let (result, used) = parse(&flood);
+        assert!(too_large(result));
+        assert!(used <= MAX_HEAD_BYTES + 1, "read {used} bytes");
+
+        let mut header = b"GET /health HTTP/1.1\r\nX-Flood: ".to_vec();
+        header.extend_from_slice(&flood);
+        let (result, used) = parse(&header);
+        assert!(too_large(result));
+        assert!(used <= MAX_HEAD_BYTES + 1, "read {used} bytes");
+
+        // Many short headers add up against the same budget.
+        let mut many = b"GET /health HTTP/1.1\r\n".to_vec();
+        while many.len() <= MAX_HEAD_BYTES {
+            many.extend_from_slice(b"X-A: b\r\n");
+        }
+        many.extend_from_slice(b"\r\n");
+        assert!(too_large(parse(&many).0));
+    }
+
+    /// Bytes that steer random edits into the framing branches.
+    const HEAD_BYTES: &[u8] = b"\r\n: 09aZ/\x00\xff\xc3";
+
+    /// Requests the daemon really receives.
+    const REQUESTS: &[&[u8]] = &[
+        b"GET /campaigns/c1/events HTTP/1.1\r\nHost: 127.0.0.1:7878\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+        b"POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: 17\r\n\r\n{\"spec_version\": 1}",
+        b"GET /health HTTP/1.1\r\n\r\n",
+    ];
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (0..n).generate(rng)
+    }
+
+    /// Arbitrary bytes, mostly from [`HEAD_BYTES`].
+    struct Garbage;
+
+    impl Strategy for Garbage {
+        type Value = Vec<u8>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+            (0..pick(rng, 128))
+                .map(|_| match pick(rng, 3) {
+                    0 => pick(rng, 256) as u8,
+                    _ => HEAD_BYTES[pick(rng, HEAD_BYTES.len())],
+                })
+                .collect()
+        }
+    }
+
+    /// A real request after one to four random edits: a byte replaced,
+    /// inserted or deleted, a span deleted or duplicated.
+    struct Edited;
+
+    impl Strategy for Edited {
+        type Value = Vec<u8>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+            let mut bytes = REQUESTS[pick(rng, REQUESTS.len())].to_vec();
+            for _ in 0..1 + pick(rng, 4) {
+                let at = pick(rng, bytes.len() + 1);
+                let b = HEAD_BYTES[pick(rng, HEAD_BYTES.len())];
+                let end = (at + pick(rng, 16)).min(bytes.len());
+                match pick(rng, 5) {
+                    0 if at < bytes.len() => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => {
+                        bytes.drain(at..end);
+                    }
+                    _ => {
+                        let span = bytes[at..end].to_vec();
+                        bytes.splice(at..at, span);
+                    }
+                }
+            }
+            bytes
+        }
+    }
+
+    /// Any input gives a typed result, and a parsed request never
+    /// outgrows the limits.
+    fn check(bytes: &[u8]) {
+        let (result, used) = parse(bytes);
+        if let Ok(Some(request)) = result {
+            assert!(request.body.len() <= MAX_BODY_BYTES);
+            assert!(used <= MAX_HEAD_BYTES + request.body.len());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(inputs in proptest::collection::vec(Garbage, 8..9)) {
+            for bytes in &inputs {
+                check(bytes);
+            }
+        }
+
+        #[test]
+        fn edited_requests_never_panic(inputs in proptest::collection::vec(Edited, 8..9)) {
+            for bytes in &inputs {
+                check(bytes);
+            }
+        }
+    }
 }

@@ -5,13 +5,12 @@
 //! stepping (ramping all independent sources from zero) — the classic
 //! SPICE fallback ladder.
 //!
-//! Every Newton loop in the crate — [`solve_newton_in`] (DC ladder and
-//! transient rungs) and the lockstep lanes of [`crate::batch`] — ends
-//! an attempt early when its iterate repeats bit for bit
-//! (`CycleGuard`). A repeat proves the iteration has entered an exact
-//! limit cycle that can never converge, so the attempt fails with the
-//! same [`SpiceError::NoConvergence`] it would have reported at
-//! `max_iter`, minus the factorisations in between.
+//! The crate's one Newton loop, [`solve_newton_in`] (DC ladder and
+//! transient rungs), ends an attempt early when its iterate repeats
+//! bit for bit (`CycleGuard`). A repeat proves the iteration has
+//! entered an exact limit cycle that can never converge, so the attempt
+//! fails with the same [`SpiceError::NoConvergence`] it would have
+//! reported at `max_iter`, minus the factorisations in between.
 
 use crate::devices::{
     stamp_all_planned, stamp_linear, stamp_nonlinear, StampParams, StampPlan, UnknownMap,
@@ -187,8 +186,8 @@ pub fn solve_newton_in(
     ))
 }
 
-/// Exact limit-cycle detector for one Newton attempt, shared by
-/// [`solve_newton_in`] and the lockstep lanes of [`crate::batch`].
+/// Exact limit-cycle detector for one Newton attempt of
+/// [`solve_newton_in`].
 ///
 /// Feed it every non-converged iterate together with the solver state
 /// that will produce the next iterate from it. It keeps one saved
@@ -205,7 +204,7 @@ pub fn solve_newton_in(
 /// on [`solve_newton_in`]. A default guard is unarmed and allocates on
 /// its first save.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CycleGuard {
+struct CycleGuard {
     /// The saved iterate (Brent's tortoise), valid while `armed`.
     saved: Vec<f64>,
     /// Solver state when `saved` was current, `refactorisations` zeroed.
@@ -218,15 +217,9 @@ pub(crate) struct CycleGuard {
 }
 
 impl CycleGuard {
-    /// Forgets the saved iterate: the next observation starts a new
-    /// attempt (the batched lanes reuse a guard for the damped phase).
-    pub(crate) fn reset(&mut self) {
-        self.armed = false;
-    }
-
     /// Observes the non-converged iterate `x` under solver `state`;
     /// `true` when it repeats the saved iterate bit for bit.
-    pub(crate) fn repeats(&mut self, x: &[f64], state: SolverStats) -> bool {
+    fn repeats(&mut self, x: &[f64], state: SolverStats) -> bool {
         let state = SolverStats {
             refactorisations: 0,
             ..state
@@ -262,9 +255,8 @@ impl CycleGuard {
 /// One damped Newton update: moves `x` towards `x_new` with each
 /// component's step clamped to `opts.max_step`, and reports whether the
 /// *unclamped* update already satisfied the mixed relative/absolute
-/// tolerance. Shared with the batched engine ([`crate::batch`]) so a
-/// lane's convergence decision is bit-identical to the scalar path.
-pub(crate) fn newton_update(x: &mut [f64], x_new: &[f64], opts: &NewtonOpts) -> bool {
+/// tolerance.
+fn newton_update(x: &mut [f64], x_new: &[f64], opts: &NewtonOpts) -> bool {
     let mut converged = true;
     for i in 0..x.len() {
         let dx = x_new[i] - x[i];
@@ -283,10 +275,10 @@ pub(crate) fn newton_update(x: &mut [f64], x_new: &[f64], opts: &NewtonOpts) -> 
 static CONVERGENCE_FAILURES: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.convergence_failures");
 /// Iterations of every Newton attempt that failed — DC ladder rungs,
-/// transient attempts and lockstep lane phases.
-pub(crate) static FAILED_ITERATIONS: cat_telemetry::StaticCounter =
+/// transient attempts.
+static FAILED_ITERATIONS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.failed_iterations");
-/// Newton attempts (scalar or lockstep lane) ended by [`CycleGuard`].
+/// Newton attempts ended by [`CycleGuard`].
 static CYCLE_EXITS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.cycle_exits");
 /// Newton runs aborted on a non-finite iterate.
@@ -531,13 +523,6 @@ mod tests {
             assert!(!guard.repeats(&a, change));
             assert!(guard.repeats(&a, change));
         }
-
-        // A reset forgets the saved iterate.
-        let mut guard = CycleGuard::default();
-        assert!(!guard.repeats(&a, SolverStats::default()));
-        guard.reset();
-        assert!(!guard.repeats(&a, SolverStats::default()));
-        assert!(guard.repeats(&a, SolverStats::default()));
     }
 
     #[test]

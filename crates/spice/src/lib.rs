@@ -58,7 +58,6 @@
 //! # Ok::<(), spice::SpiceError>(())
 //! ```
 
-pub mod batch;
 pub mod dcop;
 pub mod devices;
 pub mod mna;
@@ -68,7 +67,6 @@ pub mod sparse;
 pub mod tran;
 pub mod waveform;
 
-pub use batch::{run_group, BatchGroup, BatchRunStats, BatchedSystem, LaneJob, LaneReport};
 pub use mna::Stamper;
 pub use netlist::{Circuit, Element, ElementKind, MosModel, MosPolarity, NodeId, Waveform};
 pub use sparse::{MnaSolver, Pattern, PatternCache, SolverBackend, SolverKind, SolverStats};

@@ -45,7 +45,7 @@ use crate::devices::UnknownMap;
 use crate::mna::{MnaSystem, Stamper, REL_PIVOT_TOL};
 use crate::netlist::{Circuit, ElementKind};
 use crate::SpiceError;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -72,7 +72,7 @@ const DEMOTE_AFTER_FALLBACKS: u32 = 2;
 /// numerically. Kept tight (1e6 ⇒ solution agreement with dense
 /// partial pivoting to ~1e-10·‖x‖) because a re-pivot costs tens of
 /// microseconds once, while silent precision loss is unbounded.
-pub(crate) const GROWTH_LIMIT: f64 = 1e6;
+const GROWTH_LIMIT: f64 = 1e6;
 
 /// Which linear-solver backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,30 +89,29 @@ pub enum SolverKind {
 }
 
 /// Marker for "not a structural nonzero" in the slot lookup table.
-pub(crate) const NO_SLOT: u32 = u32::MAX;
+const NO_SLOT: u32 = u32::MAX;
 
 /// A frozen factorisation plan: pivot order, filled structure and the
 /// stamp scatter map. [`Pattern`] holds the structural (topology-only)
 /// plan; a [`SparseSystem`] may additionally carry a numerically
-/// re-pivoted local plan. Crate-visible so the batched engine
-/// ([`crate::batch`]) can run the same plan across many value lanes.
+/// re-pivoted local plan.
 #[derive(Debug, Clone)]
-pub(crate) struct Plan {
+struct Plan {
     /// Elimination step → original row.
-    pub(crate) row_perm: Vec<u32>,
+    row_perm: Vec<u32>,
     /// Elimination position → original column (unknown index).
-    pub(crate) col_perm: Vec<u32>,
+    col_perm: Vec<u32>,
     /// CSR over the *filled, permuted* pattern: `row_start[k]..row_start
     /// [k+1]` indexes `cols`/the LU value array for elimination row `k`.
-    pub(crate) row_start: Vec<u32>,
+    row_start: Vec<u32>,
     /// Column positions per filled row, ascending.
-    pub(crate) cols: Vec<u32>,
+    cols: Vec<u32>,
     /// Index of the diagonal entry within the LU arrays, per row.
-    pub(crate) diag: Vec<u32>,
+    diag: Vec<u32>,
     /// Scatter plan, parallel to `cols`: the assembled-value slot that
     /// lands on each factor entry, or [`NO_SLOT`] for pure fill — one
     /// linear pass loads a whole row of the workspace.
-    pub(crate) slot_at: Vec<u32>,
+    slot_at: Vec<u32>,
 }
 
 /// Working state for a Markowitz elimination over row/column index
@@ -174,7 +173,7 @@ impl Elimination {
 /// fill over the fixed order, CSR assembly, and the scatter map.
 /// Returns `None` when some row lacks its structural diagonal (cannot
 /// happen for Markowitz-chosen pivots; checked defensively).
-pub(crate) fn finish_plan(
+fn finish_plan(
     n: usize,
     coords: &[(u32, u32)],
     row_perm: Vec<u32>,
@@ -266,9 +265,9 @@ pub struct Pattern {
     coords: Vec<(u32, u32)>,
     /// Dense `n × n` lookup: `(row, col)` → slot index into the value
     /// array (`NO_SLOT` when absent). O(1) stamp resolution.
-    pub(crate) slot_of: Vec<u32>,
+    slot_of: Vec<u32>,
     /// The topology-only factorisation plan.
-    pub(crate) plan: Plan,
+    plan: Plan,
 }
 
 impl Pattern {
@@ -278,29 +277,7 @@ impl Pattern {
     /// structural transversal (a structurally singular system — the
     /// caller falls back to dense pivoting, which reports the precise
     /// failure).
-    pub fn build(n: usize, coords: Vec<(u32, u32)>) -> Option<Pattern> {
-        Self::build_inner(n, coords, None)
-    }
-
-    /// Like [`Pattern::build`], but restricts pivot *selection* to the
-    /// `allowed` coordinate set (the structure itself is unchanged).
-    /// The batched engine uses this to factor a union-of-lanes pattern
-    /// while only pivoting on entries structurally present in *every*
-    /// lane, so one elimination order is numerically valid for all of
-    /// them. Returns `None` when the restriction leaves no transversal.
-    pub(crate) fn build_restricted(
-        n: usize,
-        coords: Vec<(u32, u32)>,
-        allowed: &HashSet<(u32, u32)>,
-    ) -> Option<Pattern> {
-        Self::build_inner(n, coords, Some(allowed))
-    }
-
-    fn build_inner(
-        n: usize,
-        mut coords: Vec<(u32, u32)>,
-        allowed: Option<&HashSet<(u32, u32)>>,
-    ) -> Option<Pattern> {
+    pub fn build(n: usize, mut coords: Vec<(u32, u32)>) -> Option<Pattern> {
         if n == 0 {
             return None;
         }
@@ -321,11 +298,6 @@ impl Pattern {
                 }
                 let rc = row.len();
                 for &j in row {
-                    if let Some(allowed) = allowed {
-                        if !allowed.contains(&(i as u32, j)) {
-                            continue;
-                        }
-                    }
                     let cc = elim.cols_ix[j as usize].len();
                     let cost = rc.saturating_sub(1) * cc.saturating_sub(1);
                     if best.is_none_or(|(bc, _, _)| cost < bc) {

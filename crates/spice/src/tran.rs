@@ -81,7 +81,7 @@ impl TranSpec {
     /// derived from the integer step index — never by accumulating
     /// `t += tstep`, which drifts by an ULP per step and desynchronises
     /// detection times over long runs.
-    pub(crate) fn grid(&self) -> (usize, Option<f64>) {
+    fn grid(&self) -> (usize, Option<f64>) {
         let ratio = self.tstop / self.tstep;
         let nearest = ratio.round();
         if nearest >= 1.0 && (ratio - nearest).abs() <= 1e-9 * nearest {
@@ -131,12 +131,8 @@ pub struct TranResult {
     times: Vec<f64>,
     names: Vec<String>,
     data: Vec<Vec<f64>>, // indexed [node-1][sample]
-    /// Newton iterations consumed over the whole run (a work measure —
-    /// the paper compares fault-model runtimes via such counters).
-    /// Equal to `stats.newton_iterations`; kept as a field because it
-    /// predates [`TranStats`].
-    pub newton_iterations: u64,
-    /// Full work counters for the run.
+    /// Work counters for the run (the paper compares fault-model
+    /// runtimes via such counters).
     pub stats: TranStats,
 }
 
@@ -166,22 +162,22 @@ impl TranResult {
 /// Cgd = ⅓·Cox·W·L). Gate caps both smooth switching edges physically
 /// and give the Newton iteration a continuation path through
 /// regenerative transitions (Schmitt triggers, latches).
-pub(crate) struct CapInstance {
-    pub(crate) a: NodeId,
-    pub(crate) b: NodeId,
-    pub(crate) c: f64,
+struct CapInstance {
+    a: NodeId,
+    b: NodeId,
+    c: f64,
     /// Initial condition (UIC), explicit capacitors only.
-    pub(crate) ic: Option<f64>,
+    ic: Option<f64>,
 }
 
 /// Integration state per capacitance instance.
-pub(crate) struct CapState {
-    pub(crate) v_prev: f64,
-    pub(crate) i_prev: f64,
+struct CapState {
+    v_prev: f64,
+    i_prev: f64,
 }
 
 /// Collects all capacitance instances of the circuit.
-pub(crate) fn cap_instances(ckt: &Circuit) -> Vec<CapInstance> {
+fn cap_instances(ckt: &Circuit) -> Vec<CapInstance> {
     let mut out = Vec::new();
     for e in ckt.elements() {
         match &e.kind {
@@ -422,18 +418,17 @@ where
         times,
         names,
         data,
-        newton_iterations: stats.newton_iterations,
         stats,
     })
 }
 
 static TRAN_RUNS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.tran.runs");
-pub(crate) static TRAN_STEPS: cat_telemetry::StaticCounter =
+static TRAN_STEPS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.tran.steps");
 static TRAN_HALVINGS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.tran.halvings");
-pub(crate) static NEWTON_ITERATIONS: cat_telemetry::StaticCounter =
+static NEWTON_ITERATIONS: cat_telemetry::StaticCounter =
     cat_telemetry::StaticCounter::new("spice.newton.iterations");
 
 /// Adds a finished run's counters to the global registry. Each `add`
@@ -642,6 +637,51 @@ mod tests {
         assert!(tr_err < be_err, "trap {tr_err} vs BE {be_err}");
     }
 
+    /// Error at t = RC of a UIC RC discharge against the exact
+    /// `V0·e^{−t/RC}`, for `steps` grid steps per time constant.
+    fn rc_discharge_error(steps: u32, integrator: Integrator) -> f64 {
+        let (v0, r, cap) = (1.0, 1e3, 1e-6);
+        let tau = r * cap;
+        let mut c = Circuit::new("rc discharge");
+        let a = c.node("a");
+        c.add("R1", vec![a, Circuit::GROUND], ElementKind::Resistor { r });
+        c.add(
+            "C1",
+            vec![a, Circuit::GROUND],
+            ElementKind::Capacitor {
+                c: cap,
+                ic: Some(v0),
+            },
+        );
+        let spec = TranSpec {
+            integrator,
+            ..TranSpec::new(tau / f64::from(steps), tau).with_uic()
+        };
+        let res = tran(&c, &spec).unwrap();
+        let wave = res.wave("a").unwrap();
+        assert_eq!(*res.times().last().unwrap(), tau);
+        (wave.last_value() - v0 * (-1.0f64).exp()).abs()
+    }
+
+    /// The integration-order oracle: halving the step halves the
+    /// backward-Euler error (first order) and quarters the trapezoidal
+    /// error (second order, despite its backward-Euler start-up step).
+    #[test]
+    fn halving_the_step_shows_each_integrators_order() {
+        for (integrator, band) in [
+            (Integrator::BackwardEuler, 1.8..=2.2),
+            (Integrator::Trapezoidal, 3.5..=4.5),
+        ] {
+            let coarse = rc_discharge_error(20, integrator);
+            let fine = rc_discharge_error(40, integrator);
+            let ratio = coarse / fine;
+            assert!(
+                band.contains(&ratio),
+                "{integrator:?}: error {coarse:e} -> {fine:e}, ratio {ratio}"
+            );
+        }
+    }
+
     #[test]
     fn capacitor_conserves_dc_blocking() {
         // Series capacitor blocks DC: steady-state current is zero, the
@@ -810,7 +850,7 @@ mod tests {
         let res = tran_with(&c, &spec, |t, _| t < 2e-3).unwrap();
         let last = *res.times().last().unwrap();
         assert!((2e-3..2.2e-3).contains(&last), "stopped at {last}");
-        assert!(res.newton_iterations < reference.newton_iterations);
+        assert!(res.stats.newton_iterations < reference.stats.newton_iterations);
     }
 
     /// A plain resistive divider driven by a DC source: converges in
